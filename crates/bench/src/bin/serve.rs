@@ -617,10 +617,11 @@ fn stream_churn_trace(calls: u32, strings: u32) -> Vec<u8> {
 /// per mode. Phase one (timed): identical paced ingest of the recorded
 /// churn workload — chunked appends with a client-side gap, as a live
 /// recorder would produce — against a streaming daemon and a buffered
-/// one. The streaming daemon decodes and replays each chunk as it
-/// arrives, so at `Seal` the verdict is one rollup away — seal-to-verdict
-/// collapses from O(trace) to O(1) — and the undecoded tail is all it
-/// ever holds resident. Phase two (unpaced): the whole golden corpus
+/// one. The streaming daemon decodes each chunk as it arrives and
+/// replays each top-level activation as soon as it closes, so at `Seal`
+/// the verdict is one activation and a rollup away — seal-to-verdict
+/// falls from O(trace) to O(activation) — and the undecoded tail is all
+/// it ever holds resident. Phase two (unpaced): the whole golden corpus
 /// through the same daemon, pinning streaming-vs-buffered
 /// verdict-multiset equality in the same run that claims the speedup.
 fn cmd_bench_streaming() -> i32 {
@@ -729,7 +730,6 @@ fn cmd_bench_streaming() -> i32 {
     let pass = buffered.errors == 0
         && streamed.errors == 0
         && verdicts_match
-        && streamed.streamed == sessions
         && buffered.streamed == 0
         && (!gate_on || speedup >= min_speedup as f64);
 

@@ -1243,9 +1243,11 @@ impl<'a> Decoder<'a> {
 /// A resumable record decoder over an append-only byte stream.
 ///
 /// Feed chunks with [`StreamDecoder::feed`] as they arrive and drain
-/// complete records with [`StreamDecoder::next_record`]; bytes are
-/// released as soon as the record they belong to decodes, so peak
-/// residency is the undecoded tail, not the trace. The intern table,
+/// complete records with [`StreamDecoder::next_record`]. Decoding
+/// advances a consumed-offset cursor; the consumed prefix is compacted
+/// away only once it is at least half the buffer, so each byte moves at
+/// most a constant number of times however the stream is chunked, and
+/// peak residency stays within twice the undecoded tail. The intern table,
 /// record count, and running FNV carry across calls, and end-checksum
 /// verification happens exactly where a whole-trace [`Decoder`] would do
 /// it — when the `End` record is reached — while the trailing-bytes
@@ -1260,8 +1262,11 @@ impl<'a> Decoder<'a> {
 /// totals keep counting for seal verification) but no longer buffered.
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
-    /// Undecoded tail: bytes fed but not yet consumed by a record.
+    /// Bytes fed and not yet compacted away; `buf[start..]` is the
+    /// undecoded tail.
     buf: Vec<u8>,
+    /// Consumed-offset cursor into `buf`.
+    start: usize,
     header_done: bool,
     version: u16,
     interns: Vec<String>,
@@ -1312,7 +1317,26 @@ impl StreamDecoder {
         self.failed = Some(e.clone());
         // Poisoned streams never decode again; release the tail now.
         self.buf = Vec::new();
+        self.start = 0;
         e
+    }
+
+    /// The undecoded tail.
+    fn tail(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+
+    /// Moves the cursor past `n` decoded bytes, folding them into the
+    /// running totals, and compacts once the consumed prefix is at least
+    /// half the buffer — amortized O(1) per byte.
+    fn consume(&mut self, n: usize) {
+        self.consumed_fnv = fnv1a_with(self.consumed_fnv, &self.buf[self.start..self.start + n]);
+        self.consumed += n as u64;
+        self.start += n;
+        if self.start * 2 >= self.buf.len() {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
     }
 
     /// Validates the 6-byte header once enough bytes are buffered.
@@ -1321,20 +1345,19 @@ impl StreamDecoder {
         if self.header_done {
             return Ok(true);
         }
-        if self.buf.len() < 6 {
+        let tail = self.tail();
+        if tail.len() < 6 {
             return Ok(false);
         }
-        if self.buf[..4] != MAGIC {
+        if tail[..4] != MAGIC {
             return Err(self.fail(TraceError::BadMagic));
         }
-        let version = u16::from_le_bytes([self.buf[4], self.buf[5]]);
+        let version = u16::from_le_bytes([tail[4], tail[5]]);
         if version != FORMAT_VERSION {
             return Err(self.fail(TraceError::UnsupportedVersion(version)));
         }
         self.version = version;
-        self.consumed_fnv = fnv1a_with(self.consumed_fnv, &self.buf[..6]);
-        self.consumed += 6;
-        self.buf.drain(..6);
+        self.consume(6);
         self.header_done = true;
         Ok(true)
     }
@@ -1364,7 +1387,7 @@ impl StreamDecoder {
         let snap_interns = self.interns.len();
         let snap_records = self.records;
         let mut dec = Decoder {
-            bytes: &self.buf,
+            bytes: &self.buf[self.start..],
             pos: 0,
             interns: std::mem::take(&mut self.interns),
             version: self.version,
@@ -1380,18 +1403,16 @@ impl StreamDecoder {
         self.records = dec.records;
         match outcome {
             Ok(Some(rec)) => {
-                self.consumed_fnv = fnv1a_with(self.consumed_fnv, &self.buf[..pos]);
-                self.consumed += pos as u64;
-                self.buf.drain(..pos);
+                self.consume(pos);
                 Ok(Some(rec))
             }
             Ok(None) => {
                 debug_assert!(dec_finished, "Ok(None) without End");
                 self.finished = true;
-                self.trailing += (self.buf.len() - pos) as u64;
-                self.consumed_fnv = fnv1a_with(self.consumed_fnv, &self.buf[..pos]);
-                self.consumed += pos as u64;
+                self.trailing += (self.tail().len() - pos) as u64;
+                self.consume(pos);
                 self.buf = Vec::new();
+                self.start = 0;
                 Ok(None)
             }
             Err(TraceError::Truncated) => {
@@ -1418,7 +1439,7 @@ impl StreamDecoder {
 
     /// Undecoded tail bytes currently buffered.
     pub fn pending(&self) -> u64 {
-        self.buf.len() as u64
+        self.tail().len() as u64
     }
 
     /// Total bytes ever fed.

@@ -18,10 +18,14 @@
 //! 2. **Replay** ([`replay_trace`]): rebuild the entity world from the
 //!    trace's setup section and re-feed the recorded calls through any
 //!    checker stack — a bare vendor, `-Xcheck:jni`, or Jinn under any
-//!    [`jinn_core::JinnConfig`] ablation. Because every ID in the
-//!    substrate is allocation-order-deterministic, replaying the
-//!    definitions and calls in recorded order reproduces the execution
-//!    exactly; only the *verdict* varies with the configuration.
+//!    [`jinn_core::JinnConfig`] ablation. An [`ActivationFold`] turns the
+//!    event stream into per-thread trees of top-level activations and a
+//!    [`Replayer`] runs each tree, every activation scripted from its
+//!    own position (so re-entrant natives replay faithfully). Because
+//!    every ID in the substrate is allocation-order-deterministic,
+//!    replaying the definitions and calls in recorded order reproduces
+//!    the execution exactly; only the *verdict* varies with the
+//!    configuration.
 //!
 //! The differential harness ([`diff_trace`]) replays one trace under N
 //! configurations and diffs the verdicts, reproducing Figure 9's
@@ -51,14 +55,14 @@ pub use format::{
     fnv1a, fnv1a_with, BodyKind, CallStatus, ClassRec, FieldRec, ManagedRec, MethodRec, SeedKind,
     SeedRec, StreamDecoder, TraceError, TraceRecord, UbRec, FORMAT_VERSION, MAGIC,
 };
-pub use reader::{check_version, trace_discharge, Trace};
+pub use reader::{called_function, check_version, trace_discharge, Trace, TraceBuilder};
 pub use record::{
     case_studies, microbench_programs, program_by_name, program_names, record_program, Program,
     RecordVendor,
 };
 pub use replay::{
-    replay_bytes, replay_trace, replay_trace_observed, run_live_replay, standard_configs,
-    EventFeed, LiveFeeder, ReplayConfig, ReplayOutcome,
+    activations, replay_bytes, replay_trace, replay_trace_observed, standard_configs, Activation,
+    ActivationFold, ReplayConfig, ReplayOutcome, Replayer,
 };
 pub use stream::{
     decode_stream, encode_frame, encode_ingest, stream_preamble, verify_seal_declaration, Frame,

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use crate::format::{ClassRec, Decoder, SeedRec, TraceError, TraceRecord, FORMAT_VERSION};
 
 /// A decoded trace, validated end to end (checksum and record count).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// `key = value` annotations, in record order.
     pub meta: Vec<(String, String)>,
@@ -30,24 +30,14 @@ impl Trace {
     /// Any [`TraceError`] on malformed, truncated, or corrupted input.
     pub fn parse(bytes: &[u8]) -> Result<Trace, TraceError> {
         let mut dec = Decoder::new(bytes)?;
-        let version = dec.version();
-        let mut trace = Trace {
-            meta: Vec::new(),
-            classes: Vec::new(),
-            threads: Vec::new(),
-            seeds: Vec::new(),
-            events: Vec::new(),
-            version,
-        };
+        let mut builder = TraceBuilder::default();
+        let mut events = Vec::new();
         while let Some(record) = dec.next_record()? {
-            match record {
-                TraceRecord::Meta { key, value } => trace.meta.push((key, value)),
-                TraceRecord::DefClass(c) => trace.classes.push(c),
-                TraceRecord::SpawnThread { thread } => trace.threads.push(thread),
-                TraceRecord::Seed(s) => trace.seeds.push(s),
-                other => trace.events.push(other),
-            }
+            events.extend(builder.push(record)?);
         }
+        let mut trace = builder.setup;
+        trace.version = dec.version();
+        trace.events = events;
         Ok(trace)
     }
 
@@ -94,12 +84,8 @@ impl Trace {
     pub fn called_functions(&self) -> std::collections::BTreeSet<String> {
         self.events
             .iter()
-            .filter_map(|e| match e {
-                TraceRecord::JniEnter { func, .. } => {
-                    Some(minijni::FuncId(*func).name().to_string())
-                }
-                _ => None,
-            })
+            .filter_map(called_function)
+            .map(str::to_string)
             .collect()
     }
 
@@ -128,6 +114,78 @@ impl Trace {
             out.push_str(&format!("  {kind:>14}: {n}\n"));
         }
         out
+    }
+}
+
+/// The JNI function a `JniEnter` record names, when the id is a real
+/// one (a forged id names nothing rather than panicking the lookup).
+pub fn called_function(record: &TraceRecord) -> Option<&'static str> {
+    match record {
+        TraceRecord::JniEnter { func, .. } if usize::from(*func) < minijni::registry().len() => {
+            Some(minijni::FuncId(*func).name())
+        }
+        _ => None,
+    }
+}
+
+/// The `Meta` keys replay reads when it rebuilds the world: they are
+/// setup, so they must precede the first event record.
+const REPLAY_META_KEYS: [&str; 3] = ["program", "gc_period", "leaks"];
+
+/// Files decoded records into a trace's setup section, handing event
+/// records back — the one statement of the setup-order rule, shared by
+/// [`Trace::parse`] and streaming ingest:
+///
+/// * `Meta` is accepted anywhere (recorders append `obs.*` metadata
+///   after the events), except the keys replay reads to rebuild the
+///   world: `program`, `gc_period`, and `leaks`;
+/// * those keys, `DefClass`, `SpawnThread`, and `Seed` are accepted only
+///   before the first event record.
+///
+/// A streaming judge builds its replayer from the setup section as it
+/// stands at the first event record, so anything replay reads must be
+/// final by then for streamed and buffered verdicts to agree.
+#[derive(Debug, Clone, Default)]
+pub struct TraceBuilder {
+    setup: Trace,
+    saw_event: bool,
+}
+
+impl TraceBuilder {
+    /// Files a setup record, or hands an event record back.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Corrupt`] for a `DefClass`, `SpawnThread`, `Seed`,
+    /// or replay-read `Meta` key after the first event record.
+    pub fn push(&mut self, record: TraceRecord) -> Result<Option<TraceRecord>, TraceError> {
+        let late = self.saw_event;
+        match record {
+            TraceRecord::Meta { ref key, .. }
+                if late && REPLAY_META_KEYS.contains(&key.as_str()) =>
+            {
+                return Err(TraceError::Corrupt("setup record in event stream".into()))
+            }
+            TraceRecord::DefClass(_) | TraceRecord::SpawnThread { .. } | TraceRecord::Seed(_)
+                if late =>
+            {
+                return Err(TraceError::Corrupt("setup record in event stream".into()))
+            }
+            TraceRecord::Meta { key, value } => self.setup.meta.push((key, value)),
+            TraceRecord::DefClass(c) => self.setup.classes.push(c),
+            TraceRecord::SpawnThread { thread } => self.setup.threads.push(thread),
+            TraceRecord::Seed(s) => self.setup.seeds.push(s),
+            event => {
+                self.saw_event = true;
+                return Ok(Some(event));
+            }
+        }
+        Ok(None)
+    }
+
+    /// The setup section so far (no events).
+    pub fn setup(&self) -> &Trace {
+        &self.setup
     }
 }
 
@@ -181,5 +239,33 @@ mod tests {
         assert_eq!(t.event_counts()["native-enter"], 1);
         assert!(t.summary(bytes.len()).contains("program: split"));
         assert_eq!(check_version(&bytes).unwrap(), FORMAT_VERSION);
+    }
+
+    #[test]
+    fn meta_is_accepted_anywhere_but_other_setup_only_before_events() {
+        let mut w = TraceWriter::new();
+        w.meta("program", "late");
+        BoundaryTap::native_enter(&mut w, ThreadId(0), MethodId::forged(0), &[]);
+        BoundaryTap::native_exit(&mut w, ThreadId(0), MethodId::forged(0), &Ok(JValue::Void));
+        w.meta("obs.dropped", "3");
+        let t = Trace::parse(&w.finish()).expect("late meta is legal");
+        assert_eq!(t.meta_value("obs.dropped"), Some("3"));
+        assert_eq!(t.events.len(), 2);
+
+        let late_setup: [fn(&mut TraceWriter); 4] = [
+            |w| w.spawn_thread(ThreadId(1)),
+            |w| w.meta("program", "renamed"),
+            |w| w.meta("gc_period", "2"),
+            |w| w.meta("leaks", "true"),
+        ];
+        for (i, late) in late_setup.iter().enumerate() {
+            let mut w = TraceWriter::new();
+            BoundaryTap::native_enter(&mut w, ThreadId(0), MethodId::forged(0), &[]);
+            late(&mut w);
+            match Trace::parse(&w.finish()) {
+                Err(TraceError::Corrupt(msg)) => assert!(msg.contains("setup record"), "{msg}"),
+                other => panic!("late setup record {i} must be corrupt: {other:?}"),
+            }
+        }
     }
 }

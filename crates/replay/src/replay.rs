@@ -17,16 +17,15 @@
 //!    which is exactly the differential question of Table 1.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use jinn_core::JinnConfig;
 use jinn_microbench::Behavior;
 use jinn_vendors::Vendor;
 use minijni::{FuncId, JniEnv};
 use minijni::{JniArg, JniError, ReportAction, RunOutcome, Session, Vm};
-use minijvm::{EnvToken, FieldType, JValue, MethodId, ThreadId};
+use minijvm::{EnvToken, FieldType, JValue, MethodBody, MethodId, ThreadId};
 
 use crate::format::{BodyKind, CallStatus, ManagedRec, SeedKind, TraceError, TraceRecord};
 use crate::reader::Trace;
@@ -130,139 +129,156 @@ impl ReplayOutcome {
     }
 }
 
-/// One recorded native-body activation: the JNI calls it issued, in
-/// order, and how it finished.
-#[derive(Debug, Clone, Default)]
-struct NativeFrame {
-    calls: Vec<CallRec>,
-    ret: Option<JValue>,
+// ---------------------------------------------------------------------------
+// Activation trees
+// ---------------------------------------------------------------------------
+
+/// One recorded method activation — a native body, or a managed body
+/// entered across the boundary — with everything it did, in enter order.
+/// Top-level activations (natives the program's `main` entered) are the
+/// unit the driver replays; everything nested hangs off them, so a
+/// re-entrant native replays each activation from its own position in
+/// the tree.
+#[derive(Debug, Clone)]
+pub struct Activation {
+    kind: BodyKind,
+    thread: u16,
+    method: u32,
+    args: Vec<JValue>,
+    steps: Vec<Step>,
+    /// How the activation finished; `None` when the trace ended first.
+    end: Option<End>,
+}
+
+#[derive(Debug, Clone)]
+enum Step {
+    /// A JNI call the body issued, with the activations it entered.
+    Jni(JniCall),
+    /// An activation the body entered directly (a managed body calling
+    /// a native method).
+    Enter(Activation),
 }
 
 /// One recorded `Call:C→Java` with the presented env token.
 #[derive(Debug, Clone)]
-struct CallRec {
+struct JniCall {
     presented: u32,
     func: u16,
     args: Vec<JniArg>,
+    entered: Vec<Activation>,
 }
 
-/// Mutable replay state shared with the scripted method bodies.
-#[derive(Debug, Default)]
-struct ReplayState {
-    native_frames: HashMap<u32, VecDeque<NativeFrame>>,
-    managed_outcomes: HashMap<u32, VecDeque<ManagedRec>>,
-    events_replayed: u64,
-    divergences: u64,
-}
-
-/// A top-level program entry observed in the trace.
 #[derive(Debug, Clone)]
-struct TopEntry {
-    thread: u16,
-    method: u32,
-    args: Vec<JValue>,
+enum End {
+    Native {
+        status: CallStatus,
+        ret: Option<JValue>,
+    },
+    Managed(ManagedRec),
 }
 
-enum Ctx {
-    Native { method: u32, frame: NativeFrame },
-    Managed,
-    Jni,
+enum Frame {
+    Act(Activation),
+    Jni(JniCall),
 }
 
-/// Structural pass: fold the flat event stream into per-method FIFO
-/// queues of scripted activations, plus the list of top-level entries.
-fn build_queues(trace: &Trace) -> Result<(ReplayState, Vec<TopEntry>), TraceError> {
-    let mut state = ReplayState::default();
-    let mut tops = Vec::new();
-    let mut stack: Vec<Ctx> = Vec::new();
+fn corrupt(msg: impl Into<String>) -> TraceError {
+    TraceError::Corrupt(msg.into())
+}
 
-    for event in &trace.events {
-        match event {
+/// The structural fold: event records in, in arrival order (which is
+/// enter order), closed top-level activations out. Each thread keeps a
+/// stack of open frames; a frame that closes hangs off its parent, and
+/// a top-level activation is handed out at its `NativeExit`. Because
+/// the fold needs nothing past the record it is given, the same fold
+/// serves a complete trace and a stream still uploading.
+#[derive(Default)]
+pub struct ActivationFold {
+    open: BTreeMap<u16, Vec<Frame>>,
+}
+
+impl ActivationFold {
+    /// An empty fold.
+    pub fn new() -> ActivationFold {
+        ActivationFold::default()
+    }
+
+    /// Folds one event record, returning the top-level activation it
+    /// closed, if any. Annotations (GC points, vendor decisions, obs
+    /// events, Python calls) are informative only: the replayed VM
+    /// re-makes those decisions itself.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Corrupt`] for unbalanced enters/exits, a JNI call
+    /// or managed activation outside any native body, an unknown JNI
+    /// function id, or a setup record. The fold is unusable afterwards.
+    pub fn push(&mut self, record: TraceRecord) -> Result<Option<Activation>, TraceError> {
+        match record {
             TraceRecord::NativeEnter {
                 thread,
                 method,
                 args,
+            } => self.stack(thread).push(Frame::Act(Activation::new(
+                BodyKind::Native,
+                thread,
+                method,
+                args,
+            ))),
+            TraceRecord::ManagedEnter {
+                thread,
+                method,
+                args,
             } => {
+                let stack = self.stack(thread);
                 if stack.is_empty() {
-                    tops.push(TopEntry {
-                        thread: *thread,
-                        method: *method,
-                        args: args.clone(),
-                    });
+                    return Err(corrupt("ManagedEnter outside any native body"));
                 }
-                stack.push(Ctx::Native {
-                    method: *method,
-                    frame: NativeFrame::default(),
-                });
+                stack.push(Frame::Act(Activation::new(
+                    BodyKind::Managed,
+                    thread,
+                    method,
+                    args,
+                )));
             }
             TraceRecord::NativeExit {
+                thread,
                 method,
                 status,
                 ret,
-                ..
-            } => {
-                let Some(Ctx::Native {
-                    method: m,
-                    mut frame,
-                }) = stack.pop()
-                else {
-                    return Err(TraceError::Corrupt("unbalanced NativeExit".into()));
-                };
-                if m != *method {
-                    return Err(TraceError::Corrupt(format!(
-                        "NativeExit method {method} does not match enter {m}"
-                    )));
-                }
-                if *status == CallStatus::Ok {
-                    frame.ret = *ret;
-                }
-                state.native_frames.entry(m).or_default().push_back(frame);
-            }
+            } => return self.close(thread, method, End::Native { status, ret }),
+            TraceRecord::ManagedExit {
+                thread,
+                method,
+                outcome,
+            } => return self.close(thread, method, End::Managed(outcome)),
             TraceRecord::JniEnter {
+                thread,
                 presented,
                 func,
                 args,
-                ..
             } => {
-                let rec = CallRec {
-                    presented: *presented,
-                    func: *func,
-                    args: args.clone(),
+                if usize::from(func) >= minijni::registry().len() {
+                    return Err(corrupt(format!("unknown JNI function id {func}")));
+                }
+                let stack = self.stack(thread);
+                if !matches!(stack.last(), Some(Frame::Act(_))) {
+                    return Err(corrupt("JniEnter outside any native body"));
+                }
+                stack.push(Frame::Jni(JniCall {
+                    presented,
+                    func,
+                    args,
+                    entered: Vec::new(),
+                }));
+            }
+            TraceRecord::JniExit { thread, .. } => {
+                let stack = self.stack(thread);
+                let Some(Frame::Jni(call)) = stack.pop() else {
+                    return Err(corrupt("unbalanced JniExit"));
                 };
-                match stack
-                    .iter_mut()
-                    .rev()
-                    .find(|c| matches!(c, Ctx::Native { .. }))
-                {
-                    Some(Ctx::Native { frame, .. }) => frame.calls.push(rec),
-                    _ => {
-                        return Err(TraceError::Corrupt(
-                            "JniEnter outside any native body".into(),
-                        ))
-                    }
-                }
-                stack.push(Ctx::Jni);
+                attach(stack, Frame::Jni(call));
             }
-            TraceRecord::JniExit { .. } => {
-                if !matches!(stack.pop(), Some(Ctx::Jni)) {
-                    return Err(TraceError::Corrupt("unbalanced JniExit".into()));
-                }
-            }
-            TraceRecord::ManagedEnter { .. } => stack.push(Ctx::Managed),
-            TraceRecord::ManagedExit {
-                method, outcome, ..
-            } => {
-                if !matches!(stack.pop(), Some(Ctx::Managed)) {
-                    return Err(TraceError::Corrupt("unbalanced ManagedExit".into()));
-                }
-                state
-                    .managed_outcomes
-                    .entry(*method)
-                    .or_default()
-                    .push_back(outcome.clone());
-            }
-            // Substrate diagnostics: informative, not re-driven (the
-            // replayed VM re-makes these decisions itself).
             TraceRecord::GcPoint { .. }
             | TraceRecord::VendorUb { .. }
             | TraceRecord::ObsEvent { .. }
@@ -270,60 +286,208 @@ fn build_queues(trace: &Trace) -> Result<(ReplayState, Vec<TopEntry>), TraceErro
             TraceRecord::Meta { .. }
             | TraceRecord::DefClass(_)
             | TraceRecord::SpawnThread { .. }
-            | TraceRecord::Seed(_) => {
-                return Err(TraceError::Corrupt("setup record in event stream".into()))
+            | TraceRecord::Seed(_) => return Err(corrupt("setup record in event stream")),
+        }
+        Ok(None)
+    }
+
+    fn stack(&mut self, thread: u16) -> &mut Vec<Frame> {
+        self.open.entry(thread).or_default()
+    }
+
+    fn close(
+        &mut self,
+        thread: u16,
+        method: u32,
+        end: End,
+    ) -> Result<Option<Activation>, TraceError> {
+        let (kind, record) = match end {
+            End::Native { .. } => (BodyKind::Native, "NativeExit"),
+            End::Managed(_) => (BodyKind::Managed, "ManagedExit"),
+        };
+        let stack = self.stack(thread);
+        let mut act = match stack.pop() {
+            Some(Frame::Act(act)) if act.kind == kind => act,
+            _ => return Err(corrupt(format!("unbalanced {record}"))),
+        };
+        if act.method != method {
+            return Err(corrupt(format!(
+                "{record} method {method} does not match enter {}",
+                act.method
+            )));
+        }
+        act.end = Some(end);
+        Ok(attach(stack, Frame::Act(act)))
+    }
+
+    /// Ends the stream: every frame still open is closed unfinished (an
+    /// unfinished activation replays as one divergence) and the open
+    /// top-level activations are handed out, by thread.
+    pub fn finish(self) -> Vec<Activation> {
+        let mut tops = Vec::new();
+        for (_, mut stack) in self.open {
+            while let Some(frame) = stack.pop() {
+                tops.extend(attach(&mut stack, frame));
+            }
+        }
+        tops
+    }
+}
+
+/// Hangs a finished frame off its parent, or hands back a finished
+/// top-level activation.
+fn attach(stack: &mut [Frame], frame: Frame) -> Option<Activation> {
+    match (stack.last_mut(), frame) {
+        (None, Frame::Act(act)) => return Some(act),
+        (Some(Frame::Jni(call)), Frame::Act(act)) => call.entered.push(act),
+        (Some(Frame::Act(parent)), Frame::Act(act)) => parent.steps.push(Step::Enter(act)),
+        (Some(Frame::Act(parent)), Frame::Jni(call)) => parent.steps.push(Step::Jni(call)),
+        (_, Frame::Jni(_)) => unreachable!("a JNI frame only opens on top of an activation"),
+    }
+    None
+}
+
+impl Activation {
+    fn new(kind: BodyKind, thread: u16, method: u32, args: Vec<JValue>) -> Activation {
+        Activation {
+            kind,
+            thread,
+            method,
+            args,
+            steps: Vec::new(),
+            end: None,
+        }
+    }
+}
+
+/// Folds a complete event stream into its top-level activations: in
+/// close order, then any the stream left open. The fold's first
+/// structural error ends the sequence.
+pub fn activations(events: &[TraceRecord]) -> Vec<Result<Activation, TraceError>> {
+    let mut fold = ActivationFold::new();
+    let mut out = Vec::new();
+    for event in events {
+        match fold.push(event.clone()) {
+            Ok(top) => out.extend(top.map(Ok)),
+            Err(e) => {
+                out.push(Err(e));
+                return out;
             }
         }
     }
-    Ok((state, tops))
+    out.extend(fold.finish().into_iter().map(Ok));
+    out
 }
 
-fn make_native_body(state: Rc<RefCell<ReplayState>>, method: u32) -> minijni::NativeFn {
+// ---------------------------------------------------------------------------
+// The driver
+// ---------------------------------------------------------------------------
+
+/// Replay state shared with the scripted method bodies: for each
+/// boundary crossing in progress, the activations the trace expects the
+/// VM to enter there (innermost last), plus the counters.
+#[derive(Debug, Default)]
+struct Script {
+    expected: Vec<VecDeque<Activation>>,
+    events_replayed: u64,
+    divergences: u64,
+}
+
+impl Script {
+    /// The recorded activation the VM just entered, when it is the one
+    /// the trace expects next at this crossing.
+    fn take(&mut self, kind: BodyKind, method: u32) -> Option<Activation> {
+        let queue = self.expected.last_mut().filter(|q| {
+            q.front()
+                .is_some_and(|a| a.kind == kind && a.method == method)
+        });
+        let act = queue.and_then(VecDeque::pop_front);
+        if act.is_none() {
+            self.divergences += 1;
+        }
+        act
+    }
+}
+
+/// Runs `f` with `expected` as the activations the VM may enter during
+/// it; whatever went unentered (a checker stopped the call first) is
+/// dropped uncounted — post-bug divergence under a stricter stack is
+/// the point of replaying, not a replay fault.
+fn expecting<T>(
+    script: &Rc<RefCell<Script>>,
+    expected: VecDeque<Activation>,
+    f: impl FnOnce() -> T,
+) -> T {
+    script.borrow_mut().expected.push(expected);
+    let out = f();
+    script.borrow_mut().expected.pop();
+    out
+}
+
+fn scripted_body(script: Rc<RefCell<Script>>, kind: BodyKind, method: u32) -> minijni::NativeFn {
     Rc::new(move |env: &mut JniEnv<'_>, _args: &[JValue]| {
-        let frame = state
-            .borrow_mut()
-            .native_frames
-            .get_mut(&method)
-            .and_then(VecDeque::pop_front);
-        let Some(frame) = frame else {
-            state.borrow_mut().divergences += 1;
-            return Ok(JValue::Void);
-        };
-        let own = env.presented_env();
-        for call in &frame.calls {
-            env.set_presented_env(EnvToken(call.presented));
-            let result = env.invoke(FuncId(call.func), call.args.clone());
-            state.borrow_mut().events_replayed += 1;
-            // Ok, or an exception now pending: keep issuing the recorded
-            // calls — the recorded body did, and the driver's final
-            // pending-exception check reproduces the Java-side rethrow
-            // identically. Only death/detection stops the body.
-            if let Err(e @ (JniError::Death(_) | JniError::Detected(_))) = result {
+        let act = script.borrow_mut().take(kind, method);
+        match act {
+            Some(act) => play(&script, env, act),
+            None => Ok(JValue::Void),
+        }
+    })
+}
+
+/// Re-issues one activation's recorded steps in order, then finishes it
+/// the way the recording did.
+fn play(
+    script: &Rc<RefCell<Script>>,
+    env: &mut JniEnv<'_>,
+    act: Activation,
+) -> Result<JValue, JniError> {
+    let own = env.presented_env();
+    for step in act.steps {
+        let result = match step {
+            Step::Jni(call) => {
+                env.set_presented_env(EnvToken(call.presented));
+                let result = expecting(script, call.entered.into(), || {
+                    env.invoke(FuncId(call.func), call.args).map(drop)
+                });
                 env.set_presented_env(own);
-                return Err(e);
+                script.borrow_mut().events_replayed += 1;
+                result
             }
-        }
-        env.set_presented_env(own);
-        Ok(frame.ret.unwrap_or(JValue::Void))
-    })
-}
-
-fn make_managed_body(state: Rc<RefCell<ReplayState>>, method: u32) -> minijni::ManagedFn {
-    Rc::new(move |env: &mut JniEnv<'_>, _args: &[JValue]| {
-        let rec = state
-            .borrow_mut()
-            .managed_outcomes
-            .get_mut(&method)
-            .and_then(VecDeque::pop_front);
-        match rec {
-            Some(ManagedRec::Return(v)) => Ok(v),
-            Some(ManagedRec::Threw { class, message }) => Err(env.java_throw(&class, &message)),
-            Some(ManagedRec::Died | ManagedRec::Detected) | None => {
-                state.borrow_mut().divergences += 1;
-                Ok(JValue::Void)
+            Step::Enter(mut child) => {
+                let method = MethodId::forged(u64::from(child.method));
+                let args = std::mem::take(&mut child.args);
+                let kind = child.kind;
+                expecting(script, VecDeque::from([child]), || match kind {
+                    BodyKind::Managed => env.call_managed_method(method, &args),
+                    _ => env.call_native_method(method, &args),
+                })
+                .map(drop)
             }
+        };
+        // Ok, or an exception now pending: keep issuing the recorded
+        // steps — the recorded body did, and the driver's final
+        // pending-exception check reproduces the Java-side rethrow
+        // identically. Only death/detection stops the body.
+        if let Err(e @ (JniError::Death(_) | JniError::Detected(_))) = result {
+            return Err(e);
         }
-    })
+    }
+    let pending = env.jvm().thread(env.thread()).pending_exception().is_some();
+    match act.end {
+        Some(End::Native {
+            status: CallStatus::Exception,
+            ..
+        }) if pending => Err(JniError::Exception),
+        Some(End::Native { ret, .. }) => Ok(ret.unwrap_or(JValue::Void)),
+        Some(End::Managed(ManagedRec::Return(v))) => Ok(v),
+        Some(End::Managed(ManagedRec::Threw { class, message })) => {
+            Err(env.java_throw(&class, &message))
+        }
+        Some(End::Managed(ManagedRec::Died | ManagedRec::Detected)) | None => {
+            script.borrow_mut().divergences += 1;
+            Ok(JValue::Void)
+        }
+    }
 }
 
 /// Rebuilds the recorded world inside `vm`: classes (in recorded
@@ -332,27 +496,7 @@ fn make_managed_body(state: Rc<RefCell<ReplayState>>, method: u32) -> minijni::M
 fn rebuild_world(
     vm: &mut Vm,
     trace: &Trace,
-    state: &Rc<RefCell<ReplayState>>,
-) -> Result<u64, TraceError> {
-    let native_state = Rc::clone(state);
-    let managed_state = Rc::clone(state);
-    rebuild_world_with(
-        vm,
-        trace,
-        &mut move |m| make_native_body(Rc::clone(&native_state), m),
-        &mut move |m| make_managed_body(Rc::clone(&managed_state), m),
-    )
-}
-
-/// [`rebuild_world`] with caller-supplied scripted-body factories, so
-/// the buffered driver (queues prebuilt from the whole trace) and the
-/// live driver (bodies that block on an [`EventFeed`]) share one world
-/// reconstruction — identical ids, identical divergence accounting.
-fn rebuild_world_with(
-    vm: &mut Vm,
-    trace: &Trace,
-    native_body: &mut dyn FnMut(u32) -> minijni::NativeFn,
-    managed_body: &mut dyn FnMut(u32) -> minijni::ManagedFn,
+    script: &Rc<RefCell<Script>>,
 ) -> Result<u64, TraceError> {
     let mut divergences = 0u64;
     let mut next_method = vm.jvm().registry().method_count() as u32;
@@ -379,14 +523,14 @@ fn rebuild_world_with(
         for m in &class.methods {
             let body = match m.kind {
                 BodyKind::Native => {
-                    let idx = vm.add_native_code(native_body(next_method));
-                    minijvm::MethodBody::Native(Some(idx))
+                    let f = scripted_body(Rc::clone(script), BodyKind::Native, next_method);
+                    MethodBody::Native(Some(vm.add_native_code(f)))
                 }
                 BodyKind::Managed => {
-                    let idx = vm.add_managed_code(managed_body(next_method));
-                    minijvm::MethodBody::Managed(idx)
+                    let f = scripted_body(Rc::clone(script), BodyKind::Managed, next_method);
+                    MethodBody::Managed(vm.add_managed_code(f))
                 }
-                BodyKind::Abstract => minijvm::MethodBody::Abstract,
+                BodyKind::Abstract => MethodBody::Abstract,
             };
             next_method += 1;
             bodies.push(body);
@@ -445,12 +589,198 @@ fn rebuild_world_with(
     Ok(divergences)
 }
 
-/// Replays a parsed trace under one configuration.
+/// One configuration's replay of one trace. The world is rebuilt once
+/// at construction; [`Replayer::run`] then runs each top-level
+/// activation on the same [`Session`] as it is handed in (all at once
+/// for a complete trace, one by one as a stream closes them), and
+/// [`Replayer::finish`] shuts the session down and classifies it.
+pub struct Replayer {
+    session: Session,
+    script: Rc<RefCell<Script>>,
+    config: ReplayConfig,
+    program: String,
+    leaks: bool,
+    outcomes: Vec<RunOutcome>,
+}
+
+impl Replayer {
+    /// Rebuilds `setup`'s world on `config`'s vendor and attaches its
+    /// checker stack, with `recorder` (if any) wired in *before* the
+    /// checker so FSM-transition and verdict events from the re-judged
+    /// execution land in the caller's ring. Replay-affecting metadata
+    /// (`program`, `gc_period`, `leaks`) is read from `setup` now; the
+    /// setup-order rule in [`crate::TraceBuilder`] keeps it ahead of
+    /// every event record.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Corrupt`] when the setup section cannot be rebuilt
+    /// (bad array descriptors, class definition failures).
+    pub fn new(
+        setup: &Trace,
+        config: &ReplayConfig,
+        recorder: Option<&jinn_obs::Recorder>,
+    ) -> Result<Replayer, TraceError> {
+        Replayer::with_vm(config.vendor().vm(), setup, config, recorder)
+    }
+
+    /// [`Replayer::new`] on a caller-built VM, e.g. one on
+    /// [`crate::RecordVendor`] with a [`crate::TraceWriter`] tapped in,
+    /// which re-records the replay.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Replayer::new`].
+    pub fn with_vm(
+        mut vm: Vm,
+        setup: &Trace,
+        config: &ReplayConfig,
+        recorder: Option<&jinn_obs::Recorder>,
+    ) -> Result<Replayer, TraceError> {
+        let script = Rc::new(RefCell::new(Script::default()));
+        let setup_divergences = rebuild_world(&mut vm, setup, &script)?;
+        script.borrow_mut().divergences = setup_divergences;
+        let mut session = Session::new(vm);
+        if let Some(rec) = recorder {
+            session.set_recorder(rec.clone());
+        }
+        match config {
+            ReplayConfig::Default(_) => {}
+            ReplayConfig::Xcheck(v) => session.attach(v.xcheck()),
+            ReplayConfig::Jinn(_) => {
+                jinn_core::install(&mut session);
+            }
+            ReplayConfig::JinnAblated(_, cfg) => {
+                jinn_core::install_with_config(&mut session, cfg.clone());
+            }
+        }
+        Ok(Replayer {
+            session,
+            script,
+            config: config.clone(),
+            program: setup.program().to_string(),
+            leaks: setup.meta_value("leaks") == Some("true"),
+            outcomes: Vec::new(),
+        })
+    }
+
+    /// Runs one top-level activation, unless an earlier one ended the
+    /// run (the harness stops at the first fatal entry). The structural
+    /// check runs either way, before any body is invoked.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Corrupt`] when the activation names a thread or
+    /// method the rebuilt world lacks, or a method whose body kind
+    /// differs from the recorded one.
+    pub fn run(&mut self, mut top: Activation) -> Result<(), TraceError> {
+        self.check(&top)?;
+        if self
+            .outcomes
+            .last()
+            .is_some_and(|o| !matches!(o, RunOutcome::Completed(_)))
+        {
+            return Ok(());
+        }
+        let thread = ThreadId(top.thread);
+        let method = MethodId::forged(u64::from(top.method));
+        // The recorded entry arguments: replayed seeds reproduce the same
+        // JRefs, so re-presenting them re-registers identical callee
+        // locals and keeps slot allocation in lock-step with the trace.
+        let args = std::mem::take(&mut top.args);
+        let name = &self.program;
+        self.session
+            .env(thread)
+            .enter_java_frame(format!("{name}.main({name}.java:5)"));
+        let session = &mut self.session;
+        let outcome = expecting(&self.script, VecDeque::from([top]), || {
+            session.run_native(thread, method, &args)
+        });
+        self.session.env(thread).exit_java_frame();
+        self.outcomes.push(outcome);
+        Ok(())
+    }
+
+    fn check(&self, top: &Activation) -> Result<(), TraceError> {
+        let jvm = self.session.vm().jvm();
+        if top.kind != BodyKind::Native {
+            return Err(corrupt("top-level activation is not native"));
+        }
+        if !jvm.thread_ids().any(|t| t.0 == top.thread) {
+            return Err(corrupt(format!(
+                "activation on unknown thread {}",
+                top.thread
+            )));
+        }
+        let mut pending = vec![top];
+        while let Some(act) = pending.pop() {
+            let body = jvm
+                .registry()
+                .method(MethodId::forged(u64::from(act.method)))
+                .map(|m| &m.body);
+            let fits = matches!(
+                (act.kind, body),
+                (BodyKind::Native, Some(MethodBody::Native(_)))
+                    | (BodyKind::Managed, Some(MethodBody::Managed(_)))
+            );
+            if !fits {
+                return Err(corrupt(format!(
+                    "{:?} activation of method {}, which the rebuilt world has no such body for",
+                    act.kind, act.method
+                )));
+            }
+            for step in &act.steps {
+                match step {
+                    Step::Jni(call) => pending.extend(&call.entered),
+                    Step::Enter(child) => pending.push(child),
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Shuts the session down and classifies the run.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Corrupt`] when no top-level activation ran.
+    pub fn finish(self) -> Result<ReplayOutcome, TraceError> {
+        let Replayer {
+            mut session,
+            script,
+            config,
+            leaks,
+            outcomes,
+            ..
+        } = self;
+        let shutdown_reports = session.shutdown();
+        let log = session.take_log();
+        drop(session);
+
+        let is_default = matches!(config, ReplayConfig::Default(_));
+        let (behavior, message, violations) =
+            classify_outcomes(leaks && is_default, &outcomes, &shutdown_reports, &log)?;
+        let script = script.borrow();
+        Ok(ReplayOutcome {
+            label: config.label(),
+            behavior,
+            message,
+            log,
+            events_replayed: script.events_replayed,
+            divergences: script.divergences,
+            violations,
+        })
+    }
+}
+
+/// Replays a parsed trace under one configuration: fold every event,
+/// run every top-level activation, finish.
 ///
 /// # Errors
 ///
-/// [`TraceError::Corrupt`] when the event stream is structurally invalid
-/// (unbalanced enters/exits, setup records mid-stream, unknown classes).
+/// [`TraceError::Corrupt`] when the trace is structurally invalid
+/// (unbalanced enters/exits, setup records mid-stream, unknown classes,
+/// methods, or threads).
 pub fn replay_trace(trace: &Trace, config: &ReplayConfig) -> Result<ReplayOutcome, TraceError> {
     replay_trace_inner(trace, config, None)
 }
@@ -458,9 +788,7 @@ pub fn replay_trace(trace: &Trace, config: &ReplayConfig) -> Result<ReplayOutcom
 /// Like [`replay_trace`], but with a live [`jinn_obs::Recorder`] wired
 /// into the replayed session *before* the checker stack attaches, so
 /// FSM-transition and verdict events from the re-judged execution land
-/// in the caller's ring. This is the `jinn-serve` seam: each ingest
-/// worker hands the daemon's per-session recorder in and reads event
-/// summaries back out of it.
+/// in the caller's ring.
 ///
 /// # Errors
 ///
@@ -478,83 +806,22 @@ fn replay_trace_inner(
     config: &ReplayConfig,
     recorder: Option<&jinn_obs::Recorder>,
 ) -> Result<ReplayOutcome, TraceError> {
-    let (state, tops) = build_queues(trace)?;
-    let state = Rc::new(RefCell::new(state));
-
-    let mut vm = config.vendor().vm();
-    let setup_divergences = rebuild_world(&mut vm, trace, &state)?;
-    state.borrow_mut().divergences += setup_divergences;
-
-    let mut session = Session::new(vm);
-    if let Some(rec) = recorder {
-        session.set_recorder(rec.clone());
+    let mut replayer = Replayer::new(trace, config, recorder)?;
+    for top in activations(&trace.events) {
+        replayer.run(top?)?;
     }
-    match config {
-        ReplayConfig::Default(_) => {}
-        ReplayConfig::Xcheck(v) => session.attach(v.xcheck()),
-        ReplayConfig::Jinn(_) => {
-            jinn_core::install(&mut session);
-        }
-        ReplayConfig::JinnAblated(_, cfg) => {
-            jinn_core::install_with_config(&mut session, cfg.clone());
-        }
-    }
-
-    let name = trace.program().to_string();
-    let mut outcomes = Vec::new();
-    for top in &tops {
-        let thread = ThreadId(top.thread);
-        {
-            let mut env = session.env(thread);
-            env.enter_java_frame(format!("{name}.main({name}.java:5)"));
-        }
-        // The recorded entry arguments: replayed seeds reproduce the same
-        // JRefs, so re-presenting them re-registers identical callee
-        // locals and keeps slot allocation in lock-step with the trace.
-        let outcome =
-            session.run_native(thread, MethodId::forged(u64::from(top.method)), &top.args);
-        {
-            let mut env = session.env(thread);
-            env.exit_java_frame();
-        }
-        let fatal = !matches!(outcome, RunOutcome::Completed(_));
-        outcomes.push(outcome);
-        if fatal {
-            break;
-        }
-    }
-    let shutdown_reports = session.shutdown();
-    let log = session.take_log();
-    drop(session);
-
-    let (behavior, message, violations) =
-        classify_outcomes(trace, config, &outcomes, &shutdown_reports, &log)?;
-
-    let state = state.borrow();
-    Ok(ReplayOutcome {
-        label: config.label(),
-        behavior,
-        message,
-        log,
-        events_replayed: state.events_replayed,
-        divergences: state.divergences,
-        violations,
-    })
+    replayer.finish()
 }
 
 /// Classification — the microbenchmark harness's algorithm, verbatim,
-/// so replayed verdicts are comparable with live Table 1 cells. Shared
-/// by the buffered driver and the live (streaming) driver: the two must
-/// map identical run outcomes to identical verdicts.
+/// so replayed verdicts are comparable with live Table 1 cells.
+/// `silent_leak` is the harness's "leaky scenario on a default VM".
 fn classify_outcomes(
-    trace: &Trace,
-    config: &ReplayConfig,
+    silent_leak: bool,
     outcomes: &[RunOutcome],
     shutdown_reports: &[minijni::Report],
     log: &[String],
 ) -> Result<(Behavior, Option<String>, Vec<minijni::Violation>), TraceError> {
-    let leaks = trace.meta_value("leaks") == Some("true");
-    let is_default = matches!(config, ReplayConfig::Default(_));
     let mut behavior = Behavior::Running;
     let mut message = None;
 
@@ -610,7 +877,7 @@ fn classify_outcomes(
                     message = Some(d.message.clone());
                 }
                 _ => {
-                    behavior = if leaks && is_default {
+                    behavior = if silent_leak {
                         Behavior::Leak
                     } else {
                         Behavior::Running
@@ -641,494 +908,6 @@ pub fn replay_bytes(bytes: &[u8], config: &ReplayConfig) -> Result<ReplayOutcome
     replay_trace(&trace, config)
 }
 
-// ---------------------------------------------------------------------------
-// Live (streaming) replay
-// ---------------------------------------------------------------------------
-//
-// The buffered driver above folds a *complete* event stream into
-// per-method activation queues, then executes. The live driver runs the
-// same execution against queues that are still being filled: an ingest
-// thread pushes decoded records into an [`EventFeed`] through a
-// [`LiveFeeder`], while [`run_live_replay`] — on its own thread, because
-// `Session`/`Vm` hold `Rc` bodies and never cross threads — blocks on
-// the feed exactly where the buffered driver would have popped a
-// prebuilt queue.
-//
-// **Parity discipline.** The buffered fold queues a native activation at
-// its `NativeExit` (exit order); the live fold must publish it at
-// `NativeEnter` so its calls can execute while the trace is still
-// arriving (enter order). The two orders agree exactly when activations
-// of the same method never overlap — so the feeder treats same-method
-// overlap as a structural anomaly, along with every condition the
-// buffered fold rejects and the one it silently tolerates (an activation
-// still open at end-of-trace, whose calls the buffered driver would
-// *not* have executed). An anomalous feed is poisoned; the caller
-// discards the speculative outcome and re-judges from its retained
-// records through the buffered path, which is the soundness valve that
-// makes the speculative execution unobservable.
-
-/// A recorded call pulled from a live activation, or the activation's
-/// recorded return once its calls are exhausted.
-enum LiveCall {
-    /// The next recorded JNI call to re-issue.
-    Call(CallRec),
-    /// Activation closed (its `NativeExit` arrived) with this return
-    /// value; `None` also stands in for a poisoned/unclosed activation,
-    /// mirroring the buffered driver's missing-frame `Void`.
-    Done(Option<JValue>),
-}
-
-/// One native activation being streamed: calls appended by the feeder,
-/// consumed by the scripted body, closed by `NativeExit`.
-#[derive(Debug, Default)]
-struct LiveActivation {
-    calls: VecDeque<CallRec>,
-    closed: bool,
-    ret: Option<JValue>,
-}
-
-#[derive(Debug, Default)]
-struct FeedInner {
-    /// Arena of activations; ids index into it and are never reused.
-    activations: Vec<LiveActivation>,
-    /// Per-method activation ids in enter order (see parity discipline).
-    ready: HashMap<u32, VecDeque<usize>>,
-    /// Per-method managed outcomes in exit order — the same order the
-    /// buffered fold queues them in.
-    managed: HashMap<u32, VecDeque<ManagedRec>>,
-    /// Top-level entries in stream order.
-    tops: VecDeque<TopEntry>,
-    /// No more records will arrive (seal, abort, or poison).
-    finished: bool,
-}
-
-/// The producer/consumer channel between an ingest thread and a live
-/// replay executor. All waits are on one condvar: the feed carries a
-/// handful of small queues, and the executor blocks only when it has
-/// genuinely caught up with the stream.
-#[derive(Debug, Default)]
-pub struct EventFeed {
-    inner: Mutex<FeedInner>,
-    cond: Condvar,
-}
-
-/// Feed state is plain owned data; a panicking holder cannot break its
-/// structural invariants, so poison recovery is safe (and required — a
-/// panicked executor must not wedge the ingest thread).
-fn feed_lock(feed: &EventFeed) -> MutexGuard<'_, FeedInner> {
-    feed.inner.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl EventFeed {
-    /// An empty feed.
-    pub fn new() -> EventFeed {
-        EventFeed::default()
-    }
-
-    /// Marks the feed finished: every blocked consumer drains (missing
-    /// data reads as closed/absent, which the live bodies translate to
-    /// the buffered driver's divergence behaviour). Used for seal,
-    /// abort, and poison alike — after an anomaly the executor's result
-    /// is discarded, so draining fast is all that matters.
-    pub fn finish(&self) {
-        feed_lock(self).finished = true;
-        self.cond.notify_all();
-    }
-
-    fn pop_top(&self) -> Option<TopEntry> {
-        let mut inner = feed_lock(self);
-        loop {
-            if let Some(top) = inner.tops.pop_front() {
-                return Some(top);
-            }
-            if inner.finished {
-                return None;
-            }
-            inner = self
-                .cond
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn pop_activation(&self, method: u32) -> Option<usize> {
-        let mut inner = feed_lock(self);
-        loop {
-            if let Some(id) = inner.ready.get_mut(&method).and_then(VecDeque::pop_front) {
-                return Some(id);
-            }
-            if inner.finished {
-                return None;
-            }
-            inner = self
-                .cond
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn next_call(&self, id: usize) -> LiveCall {
-        let mut inner = feed_lock(self);
-        loop {
-            let act = &mut inner.activations[id];
-            if let Some(call) = act.calls.pop_front() {
-                return LiveCall::Call(call);
-            }
-            if act.closed {
-                return LiveCall::Done(act.ret.take());
-            }
-            if inner.finished {
-                return LiveCall::Done(None);
-            }
-            inner = self
-                .cond
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn pop_managed(&self, method: u32) -> Option<ManagedRec> {
-        let mut inner = feed_lock(self);
-        loop {
-            if let Some(rec) = inner.managed.get_mut(&method).and_then(VecDeque::pop_front) {
-                return Some(rec);
-            }
-            if inner.finished {
-                return None;
-            }
-            inner = self
-                .cond
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// The producer-side fold: pushes decoded event records into an
-/// [`EventFeed`], maintaining the same context stack as the buffered
-/// fold ([`build_queues`]) and rejecting — as anomalies — both its
-/// structural errors and the streaming-specific overlap cases the
-/// buffered path would order differently.
-pub struct LiveFeeder {
-    feed: Arc<EventFeed>,
-    stack: Vec<FoldCtx>,
-    /// Open activations per method, for overlap detection.
-    open_native: HashMap<u32, u32>,
-}
-
-enum FoldCtx {
-    Native { method: u32, id: usize },
-    Managed,
-    Jni,
-}
-
-impl LiveFeeder {
-    /// A feeder for `feed`.
-    pub fn new(feed: Arc<EventFeed>) -> LiveFeeder {
-        LiveFeeder {
-            feed,
-            stack: Vec::new(),
-            open_native: HashMap::new(),
-        }
-    }
-
-    /// Folds one event record into the feed.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable anomaly reason when the record cannot be
-    /// streamed soundly — structurally invalid, a setup record after
-    /// events began, or same-method overlapping activations. The caller
-    /// must stop feeding, poison the feed ([`EventFeed::finish`]), and
-    /// fall back to a buffered re-judge of its retained records.
-    pub fn push(&mut self, event: &TraceRecord) -> Result<(), String> {
-        match event {
-            TraceRecord::NativeEnter {
-                thread,
-                method,
-                args,
-            } => {
-                let open = self.open_native.entry(*method).or_insert(0);
-                if *open > 0 {
-                    // Enter-order consumption would diverge from the
-                    // buffered fold's exit-order queues.
-                    return Err(format!("overlapping native activations of method {method}"));
-                }
-                *open += 1;
-                let mut inner = feed_lock(&self.feed);
-                let id = inner.activations.len();
-                inner.activations.push(LiveActivation::default());
-                if self.stack.is_empty() {
-                    inner.tops.push_back(TopEntry {
-                        thread: *thread,
-                        method: *method,
-                        args: args.clone(),
-                    });
-                }
-                inner.ready.entry(*method).or_default().push_back(id);
-                drop(inner);
-                self.feed.cond.notify_all();
-                self.stack.push(FoldCtx::Native {
-                    method: *method,
-                    id,
-                });
-            }
-            TraceRecord::NativeExit {
-                method,
-                status,
-                ret,
-                ..
-            } => {
-                let Some(FoldCtx::Native { method: m, id }) = self.stack.pop() else {
-                    return Err("unbalanced NativeExit".into());
-                };
-                if m != *method {
-                    return Err(format!(
-                        "NativeExit method {method} does not match enter {m}"
-                    ));
-                }
-                *self.open_native.entry(m).or_insert(1) -= 1;
-                let mut inner = feed_lock(&self.feed);
-                let act = &mut inner.activations[id];
-                if *status == CallStatus::Ok {
-                    act.ret = *ret;
-                }
-                act.closed = true;
-                drop(inner);
-                self.feed.cond.notify_all();
-            }
-            TraceRecord::JniEnter {
-                presented,
-                func,
-                args,
-                ..
-            } => {
-                let target = self
-                    .stack
-                    .iter()
-                    .rev()
-                    .find_map(|c| match c {
-                        FoldCtx::Native { id, .. } => Some(*id),
-                        _ => None,
-                    })
-                    .ok_or_else(|| "JniEnter outside any native body".to_string())?;
-                let mut inner = feed_lock(&self.feed);
-                inner.activations[target].calls.push_back(CallRec {
-                    presented: *presented,
-                    func: *func,
-                    args: args.clone(),
-                });
-                drop(inner);
-                self.feed.cond.notify_all();
-                self.stack.push(FoldCtx::Jni);
-            }
-            TraceRecord::JniExit { .. } => {
-                if !matches!(self.stack.pop(), Some(FoldCtx::Jni)) {
-                    return Err("unbalanced JniExit".into());
-                }
-            }
-            TraceRecord::ManagedEnter { .. } => self.stack.push(FoldCtx::Managed),
-            TraceRecord::ManagedExit {
-                method, outcome, ..
-            } => {
-                if !matches!(self.stack.pop(), Some(FoldCtx::Managed)) {
-                    return Err("unbalanced ManagedExit".into());
-                }
-                let mut inner = feed_lock(&self.feed);
-                inner
-                    .managed
-                    .entry(*method)
-                    .or_default()
-                    .push_back(outcome.clone());
-                drop(inner);
-                self.feed.cond.notify_all();
-            }
-            // Substrate diagnostics: informative, not re-driven.
-            TraceRecord::GcPoint { .. }
-            | TraceRecord::VendorUb { .. }
-            | TraceRecord::ObsEvent { .. }
-            | TraceRecord::PyCall { .. } => {}
-            TraceRecord::Meta { .. }
-            | TraceRecord::DefClass(_)
-            | TraceRecord::SpawnThread { .. }
-            | TraceRecord::Seed(_) => return Err("setup record in event stream".into()),
-        }
-        Ok(())
-    }
-
-    /// Closes the producer side at end-of-trace and marks the feed
-    /// finished regardless of the outcome.
-    ///
-    /// # Errors
-    ///
-    /// An anomaly reason when an activation is still open — the buffered
-    /// fold silently drops such an activation's calls, but the live
-    /// executor may already have run them, so the caller must fall back.
-    pub fn finish(&mut self) -> Result<(), String> {
-        self.feed.finish();
-        if self.stack.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} activation(s) still open at end of trace",
-                self.stack.len()
-            ))
-        }
-    }
-}
-
-/// Executor-local replay counters (the live analogue of the counter half
-/// of [`ReplayState`], kept `Rc` so per-call updates stay lock-free).
-#[derive(Debug, Default)]
-struct LiveCounters {
-    events_replayed: u64,
-    divergences: u64,
-}
-
-fn make_live_native_body(
-    feed: Arc<EventFeed>,
-    counters: Rc<RefCell<LiveCounters>>,
-    method: u32,
-) -> minijni::NativeFn {
-    Rc::new(move |env: &mut JniEnv<'_>, _args: &[JValue]| {
-        let Some(id) = feed.pop_activation(method) else {
-            counters.borrow_mut().divergences += 1;
-            return Ok(JValue::Void);
-        };
-        let own = env.presented_env();
-        loop {
-            match feed.next_call(id) {
-                LiveCall::Call(call) => {
-                    env.set_presented_env(EnvToken(call.presented));
-                    let result = env.invoke(FuncId(call.func), call.args);
-                    counters.borrow_mut().events_replayed += 1;
-                    // Same rule as the buffered body: exceptions keep the
-                    // recorded calls coming, only death/detection stops.
-                    if let Err(e @ (JniError::Death(_) | JniError::Detected(_))) = result {
-                        env.set_presented_env(own);
-                        return Err(e);
-                    }
-                }
-                LiveCall::Done(ret) => {
-                    env.set_presented_env(own);
-                    return Ok(ret.unwrap_or(JValue::Void));
-                }
-            }
-        }
-    })
-}
-
-fn make_live_managed_body(
-    feed: Arc<EventFeed>,
-    counters: Rc<RefCell<LiveCounters>>,
-    method: u32,
-) -> minijni::ManagedFn {
-    Rc::new(
-        move |env: &mut JniEnv<'_>, _args: &[JValue]| match feed.pop_managed(method) {
-            Some(ManagedRec::Return(v)) => Ok(v),
-            Some(ManagedRec::Threw { class, message }) => Err(env.java_throw(&class, &message)),
-            Some(ManagedRec::Died | ManagedRec::Detected) | None => {
-                counters.borrow_mut().divergences += 1;
-                Ok(JValue::Void)
-            }
-        },
-    )
-}
-
-/// Drives a replay against a still-arriving event stream: the world is
-/// rebuilt from `setup` (the trace's setup section, with no events),
-/// scripted bodies block on `feed`, and the run completes once the feed
-/// finishes and the recorded entries have been executed. Call on a
-/// dedicated thread — the replay substrate is single-threaded by design.
-///
-/// The returned outcome is **speculative** until the caller has verified
-/// the stream's seal declaration and checked that no feeder anomaly
-/// occurred; on either failure it must be discarded unobserved.
-///
-/// # Errors
-///
-/// As for [`replay_trace`] over the equivalent complete trace.
-pub fn run_live_replay(
-    setup: &Trace,
-    config: &ReplayConfig,
-    recorder: Option<&jinn_obs::Recorder>,
-    feed: &Arc<EventFeed>,
-) -> Result<ReplayOutcome, TraceError> {
-    let counters = Rc::new(RefCell::new(LiveCounters::default()));
-
-    let mut vm = config.vendor().vm();
-    let native_feed = Arc::clone(feed);
-    let native_counters = Rc::clone(&counters);
-    let managed_feed = Arc::clone(feed);
-    let managed_counters = Rc::clone(&counters);
-    let setup_divergences = rebuild_world_with(
-        &mut vm,
-        setup,
-        &mut move |m| {
-            make_live_native_body(Arc::clone(&native_feed), Rc::clone(&native_counters), m)
-        },
-        &mut move |m| {
-            make_live_managed_body(Arc::clone(&managed_feed), Rc::clone(&managed_counters), m)
-        },
-    )?;
-    counters.borrow_mut().divergences += setup_divergences;
-
-    let mut session = Session::new(vm);
-    if let Some(rec) = recorder {
-        session.set_recorder(rec.clone());
-    }
-    match config {
-        ReplayConfig::Default(_) => {}
-        ReplayConfig::Xcheck(v) => session.attach(v.xcheck()),
-        ReplayConfig::Jinn(_) => {
-            jinn_core::install(&mut session);
-        }
-        ReplayConfig::JinnAblated(_, cfg) => {
-            jinn_core::install_with_config(&mut session, cfg.clone());
-        }
-    }
-
-    let name = setup.program().to_string();
-    let mut outcomes = Vec::new();
-    while let Some(top) = feed.pop_top() {
-        let thread = ThreadId(top.thread);
-        {
-            let mut env = session.env(thread);
-            env.enter_java_frame(format!("{name}.main({name}.java:5)"));
-        }
-        let outcome =
-            session.run_native(thread, MethodId::forged(u64::from(top.method)), &top.args);
-        {
-            let mut env = session.env(thread);
-            env.exit_java_frame();
-        }
-        let fatal = !matches!(outcome, RunOutcome::Completed(_));
-        outcomes.push(outcome);
-        if fatal {
-            // The buffered driver stops at the first fatal entry; later
-            // tops stay unconsumed and are dropped with the feed.
-            break;
-        }
-    }
-    let shutdown_reports = session.shutdown();
-    let log = session.take_log();
-    drop(session);
-
-    let (behavior, message, violations) =
-        classify_outcomes(setup, config, &outcomes, &shutdown_reports, &log)?;
-
-    let counters = counters.borrow();
-    Ok(ReplayOutcome {
-        label: config.label(),
-        behavior,
-        message,
-        log,
-        events_replayed: counters.events_replayed,
-        divergences: counters.divergences,
-        violations,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1149,91 +928,122 @@ mod tests {
         assert_eq!(hs.behavior, Behavior::Crash, "{hs:?}");
     }
 
-    /// Streams a parsed trace's events through a [`LiveFeeder`] on this
-    /// thread while the executor runs on another, then returns the live
-    /// outcome.
-    fn live_replay(trace: &Trace, config: &ReplayConfig) -> Result<ReplayOutcome, TraceError> {
-        let feed = Arc::new(EventFeed::new());
-        let mut setup = trace.clone();
-        setup.events = Vec::new();
-        let exec_feed = Arc::clone(&feed);
-        let exec_config = config.clone();
-        let executor =
-            std::thread::spawn(move || run_live_replay(&setup, &exec_config, None, &exec_feed));
-        let mut feeder = LiveFeeder::new(Arc::clone(&feed));
-        for event in &trace.events {
-            feeder.push(event).expect("corpus traces stream cleanly");
+    fn enter(method: u32) -> TraceRecord {
+        TraceRecord::NativeEnter {
+            thread: 0,
+            method,
+            args: vec![],
         }
-        feeder.finish().expect("corpus traces balance");
-        executor.join().expect("executor must not panic")
+    }
+
+    fn exit(method: u32) -> TraceRecord {
+        TraceRecord::NativeExit {
+            thread: 0,
+            method,
+            status: CallStatus::Ok,
+            ret: Some(JValue::Void),
+        }
+    }
+
+    fn fold_error(records: Vec<TraceRecord>) -> String {
+        let mut fold = ActivationFold::new();
+        for r in records {
+            if let Err(TraceError::Corrupt(msg)) = fold.push(r) {
+                return msg;
+            }
+        }
+        panic!("fold accepted a malformed stream")
     }
 
     #[test]
-    fn live_replay_matches_buffered_verdicts() {
-        let configs = [
-            ReplayConfig::Jinn(Vendor::HotSpot),
-            ReplayConfig::Default(Vendor::HotSpot),
-            ReplayConfig::Xcheck(Vendor::J9),
-        ];
-        for name in ["LocalRefDangling", "GlobalDangling", "MonitorLeak"] {
-            let p = program_by_name(name).expect("known scenario");
-            let bytes = record_program(&p);
-            let trace = Trace::parse(&bytes).unwrap();
-            for config in &configs {
-                let buffered = replay_trace(&trace, config).unwrap();
-                let live = live_replay(&trace, config).unwrap();
-                assert_eq!(
-                    live.verdict_signature(),
-                    buffered.verdict_signature(),
-                    "{name} under {}",
-                    config.label()
-                );
-                assert_eq!(live.behavior, buffered.behavior);
-                assert_eq!(live.events_replayed, buffered.events_replayed, "{name}");
-                assert_eq!(live.divergences, buffered.divergences, "{name}");
-                assert_eq!(live.violations.len(), buffered.violations.len(), "{name}");
-                assert_eq!(live.log, buffered.log, "{name}");
+    fn fold_rejects_malformed_streams() {
+        assert!(fold_error(vec![exit(1)]).contains("unbalanced NativeExit"));
+        assert!(fold_error(vec![enter(1), exit(2)]).contains("does not match"));
+        let call = TraceRecord::JniEnter {
+            thread: 0,
+            presented: 0,
+            func: 0,
+            args: vec![],
+        };
+        assert!(fold_error(vec![call]).contains("outside any native body"));
+        let forged = TraceRecord::JniEnter {
+            thread: 0,
+            presented: 0,
+            func: u16::MAX,
+            args: vec![],
+        };
+        assert!(fold_error(vec![enter(1), forged]).contains("unknown JNI function"));
+        let managed = TraceRecord::ManagedEnter {
+            thread: 0,
+            method: 1,
+            args: vec![],
+        };
+        assert!(fold_error(vec![managed]).contains("outside any native body"));
+        let seed = TraceRecord::SpawnThread { thread: 3 };
+        assert!(fold_error(vec![seed]).contains("setup record"));
+    }
+
+    #[test]
+    fn fold_hands_out_tops_at_exit_and_open_ones_at_finish() {
+        let mut fold = ActivationFold::new();
+        assert!(fold.push(enter(4)).unwrap().is_none());
+        let top = fold.push(exit(4)).unwrap().expect("closed at its exit");
+        assert_eq!((top.method, top.end.is_some()), (4, true));
+        assert!(fold.push(enter(5)).unwrap().is_none());
+        let open = fold.finish();
+        assert_eq!(open.len(), 1);
+        assert!(
+            open[0].end.is_none(),
+            "an unfinished activation stays unfinished"
+        );
+    }
+
+    /// A recorded trace that runs to completion on a default VM.
+    fn completing_trace() -> Trace {
+        let p = program_by_name("GlobalLeak").unwrap();
+        Trace::parse(&record_program(&p)).unwrap()
+    }
+
+    #[test]
+    fn forged_ids_are_corrupt_before_any_body_runs() {
+        for (thread, method, what) in [(0, 9999, "method 9999"), (77, 0, "unknown thread 77")] {
+            let mut trace = completing_trace();
+            trace.events.push(TraceRecord::NativeEnter {
+                thread,
+                method,
+                args: vec![],
+            });
+            trace.events.push(TraceRecord::NativeExit {
+                thread,
+                method,
+                status: CallStatus::Ok,
+                ret: Some(JValue::Void),
+            });
+            for config in standard_configs() {
+                match replay_trace(&trace, &config) {
+                    Err(TraceError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+                    other => panic!("{what}: expected Corrupt, got {other:?}"),
+                }
             }
         }
     }
 
     #[test]
-    fn live_feeder_rejects_what_streaming_cannot_order() {
-        // Same-method overlap: enter-order consumption would diverge
-        // from the buffered fold's exit-order queues.
-        let feed = Arc::new(EventFeed::new());
-        let mut feeder = LiveFeeder::new(Arc::clone(&feed));
-        let enter = TraceRecord::NativeEnter {
-            thread: 0,
-            method: 7,
-            args: vec![],
-        };
-        feeder.push(&enter).unwrap();
-        let err = feeder.push(&enter).unwrap_err();
-        assert!(err.contains("overlapping"), "{err}");
-
-        // An activation still open at end-of-trace: the buffered driver
-        // would have dropped its calls, the live executor may have run
-        // them.
-        let feed = Arc::new(EventFeed::new());
-        let mut feeder = LiveFeeder::new(Arc::clone(&feed));
-        feeder
-            .push(&TraceRecord::NativeEnter {
-                thread: 0,
-                method: 1,
-                args: vec![],
-            })
+    fn unfinished_activation_replays_as_one_divergence() {
+        let mut trace = completing_trace();
+        let first = trace
+            .events
+            .iter()
+            .find(|e| matches!(e, TraceRecord::NativeEnter { .. }))
+            .cloned()
             .unwrap();
-        let err = feeder.finish().unwrap_err();
-        assert!(err.contains("still open"), "{err}");
-
-        // Setup records mid-stream poison the fold like the buffered one.
-        let feed = Arc::new(EventFeed::new());
-        let mut feeder = LiveFeeder::new(feed);
-        let err = feeder
-            .push(&TraceRecord::SpawnThread { thread: 3 })
-            .unwrap_err();
-        assert!(err.contains("setup record"), "{err}");
+        let config = ReplayConfig::Default(Vendor::HotSpot);
+        let clean = replay_trace(&trace, &config).unwrap();
+        assert_eq!(clean.behavior, Behavior::Leak);
+        trace.events.push(first);
+        let open = replay_trace(&trace, &config).unwrap();
+        assert_eq!(open.behavior, clean.behavior);
+        assert_eq!(open.divergences, clean.divergences + 1, "{open:?}");
     }
 
     #[test]

@@ -411,3 +411,82 @@ fn whole_corpus_survives_sampled_mutations() {
         }
     }
 }
+
+/// A bug-free churn recording of about 1 MB: `calls` native entries,
+/// each round-tripping 200 strings across the JNI seam.
+fn churn_trace(calls: usize) -> Vec<u8> {
+    use jinn_microbench::Setup;
+    use minijni::typed;
+    use minijvm::JValue;
+    use std::rc::Rc;
+
+    let program = jinn_replay::Program {
+        name: "Churn".into(),
+        pitfall: None,
+        machine: "local-reference",
+        error_state: "Ok",
+        leaks: false,
+        gc_period: Some(64),
+        build: Box::new(move |vm| {
+            let (_, entry) = vm.define_native_class(
+                "bench/Churn",
+                "churn",
+                "()V",
+                true,
+                Rc::new(|env, _| {
+                    for i in 0..200 {
+                        let s = typed::new_string_utf(env, &format!("churn-{i}"))?;
+                        typed::get_string_utf_length(env, s)?;
+                        typed::delete_local_ref(env, s)?;
+                    }
+                    Ok(JValue::Void)
+                }),
+            );
+            Setup {
+                entries: vec![entry; calls],
+                first_args: Vec::new(),
+            }
+        }),
+    };
+    record_program(&program)
+}
+
+/// Decodes `bytes` fed in `chunk`-sized appends; returns the records
+/// surfaced and the fastest of `reps` runs.
+fn stream_decode_time(bytes: &[u8], chunk: usize, reps: usize) -> (usize, std::time::Duration) {
+    let mut best = std::time::Duration::MAX;
+    let mut records = 0;
+    for _ in 0..reps {
+        let start = std::time::Instant::now();
+        let mut dec = StreamDecoder::new();
+        records = 0;
+        for piece in bytes.chunks(chunk) {
+            dec.feed(piece);
+            while dec.next_record().expect("churn decodes").is_some() {
+                records += 1;
+            }
+        }
+        dec.finish().expect("churn finishes");
+        best = best.min(start.elapsed());
+    }
+    (records, best)
+}
+
+/// Stream decoding costs time linear in the input however the client
+/// chunks it: one ~1 MB append decodes within 2× of the same bytes in
+/// 2 KiB appends. (A decoder that shifts its buffer down after every
+/// record is quadratic in the append size and fails this by orders of
+/// magnitude.)
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a timing bound needs optimized code")]
+fn one_large_append_decodes_as_fast_as_small_ones() {
+    let bytes = churn_trace(100);
+    assert!(bytes.len() > 900_000, "{} bytes", bytes.len());
+    let (small_records, small) = stream_decode_time(&bytes, 2048, 5);
+    let (whole_records, whole) = stream_decode_time(&bytes, bytes.len(), 5);
+    assert_eq!(small_records, whole_records);
+    assert!(
+        whole <= small * 2,
+        "one append took {whole:?}, 2 KiB appends {small:?}"
+    );
+}

@@ -56,10 +56,10 @@ pub struct ServeConfig {
     /// disables learning: only declared manifests specialize.
     pub learn_after_sessions: u64,
     /// Sessions judged *incrementally* at once: each streaming session
-    /// holds an engine lease and an executor thread from `Open` to
-    /// `Seal`, so this caps that standing cost. Single-config sessions
-    /// opened while a slot is free stream; everything else (and `0`,
-    /// which disables streaming) buffers exactly as before.
+    /// holds an executor thread from its first event record to `Seal`,
+    /// so this caps that standing cost. Sessions opened while a slot is
+    /// free stream; the rest (all of them at `0`) buffer, with identical
+    /// verdicts.
     pub streaming_sessions: usize,
 }
 
@@ -258,47 +258,40 @@ impl Drop for Daemon {
 
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(id) = shared.queue.pop() {
-        if let Some(stream) = shared.remove_stream(id) {
-            let Some((tenant, configs)) = shared.table.begin_judging_streamed(id) else {
-                stream.discard(); // quarantined while queued
-                continue;
-            };
-            let specialized = shared.registry.specialized_for(&tenant);
-            match stream.collect(
-                &tenant,
-                &configs,
-                &shared.pool,
-                specialized.as_deref(),
-                shared.config.recorder_ring,
-                shared.config.max_events_per_session,
-            ) {
-                Ok(out) => {
-                    shared.registry.observe_judged(
-                        &tenant,
-                        &out.called_functions,
-                        out.discharge_fallback,
-                        shared.config.learn_after_sessions,
-                    );
-                    shared.table.finish(id, out);
-                }
-                Err(reason) => shared.table.fail(id, &reason),
+        let (tenant, judged) = match shared.remove_stream(id) {
+            Some(stream) => {
+                let Some(tenant) = shared.table.begin_judging_streamed(id) else {
+                    stream.discard(); // quarantined while queued
+                    continue;
+                };
+                let specialized = shared.registry.specialized_for(&tenant);
+                let judged = stream.collect(
+                    &tenant,
+                    &shared.pool,
+                    specialized.as_deref(),
+                    shared.config.max_events_per_session,
+                );
+                (tenant, judged)
             }
-            continue;
-        }
-        let Some((bytes, tenant, configs)) = shared.table.begin_judging(id) else {
-            continue; // quarantined while queued
+            None => {
+                let Some((bytes, tenant, configs)) = shared.table.begin_judging(id) else {
+                    continue; // quarantined while queued
+                };
+                let specialized = shared.registry.specialized_for(&tenant);
+                let judged = judge(
+                    &bytes,
+                    id,
+                    &tenant,
+                    &configs,
+                    &shared.pool,
+                    specialized.as_deref(),
+                    shared.config.recorder_ring,
+                    shared.config.max_events_per_session,
+                );
+                (tenant, judged)
+            }
         };
-        let specialized = shared.registry.specialized_for(&tenant);
-        match judge(
-            &bytes,
-            id,
-            &tenant,
-            &configs,
-            &shared.pool,
-            specialized.as_deref(),
-            shared.config.recorder_ring,
-            shared.config.max_events_per_session,
-        ) {
+        match judged {
             Ok(out) => {
                 shared.registry.observe_judged(
                     &tenant,
@@ -360,36 +353,22 @@ impl DaemonHandle {
     pub fn open(&self, session: SessionId, tenant: &str, configs: &str) -> Result<(), ServeError> {
         self.guard()?;
         let configs = self.parse_configs(configs)?;
-        let single = match configs.as_slice() {
-            [only] => Some(only.clone()),
-            _ => None,
-        };
-        self.shared.table.open(session, tenant, configs)?;
-        // Streaming dispatch: single-config sessions stream while a
-        // slot is free; everything else buffers transparently. Decided
-        // once here — the first `Append` must already hit the scanner.
-        if let Some(config) = single {
-            let cap = self.shared.config.streaming_sessions;
-            if cap > 0 {
-                let mut streams = self
-                    .shared
-                    .streams
-                    .lock()
-                    .expect("stream registry poisoned");
-                if streams.len() < cap {
-                    streams.insert(
-                        session,
-                        Arc::new(StreamingSession::start(
-                            session,
-                            config,
-                            &self.shared.pool,
-                            self.shared.config.recorder_ring,
-                        )),
-                    );
-                    drop(streams);
-                    self.shared.table.mark_streamed(session);
-                }
-            }
+        self.shared.table.open(session, tenant, configs.clone())?;
+        // Streaming dispatch: sessions stream while a slot is free and
+        // buffer transparently otherwise. Decided once here — the first
+        // `Append` must already hit the scanner.
+        let cap = self.shared.config.streaming_sessions;
+        let mut streams = self
+            .shared
+            .streams
+            .lock()
+            .expect("stream registry poisoned");
+        if streams.len() < cap {
+            let stream =
+                StreamingSession::start(session, configs, self.shared.config.recorder_ring);
+            streams.insert(session, Arc::new(stream));
+            drop(streams);
+            self.shared.table.mark_streamed(session);
         }
         Ok(())
     }

@@ -1,25 +1,29 @@
-//! The worker side of ingest: parse a sealed session's trace bytes,
-//! re-judge them under the session's checker stack, and condense the
-//! results into history rows for the store.
+//! The judge: replay a session's trace under its checker stack and
+//! condense the results into history rows for the store.
 //!
-//! One replay per configuration; the first configuration runs with a
-//! live [`Recorder`] wired in ([`jinn_replay::replay_trace_observed`])
-//! so the re-judged execution's events can be summarized for the query
-//! API. The session's FSM-transition stream is additionally re-applied
-//! through a leased set of pooled lock-free [`AtomicStore`] engines
+//! One [`Judge`] per session owns one [`Replayer`] per configuration,
+//! the first with a live [`Recorder`] wired in so the re-judged
+//! execution's events can be summarized for the query API. It is fed
+//! closed top-level activations: all at once on the worker for a
+//! buffered session ([`judge`]), or one by one over a channel as a
+//! streaming session uploads (the `streaming` module). Either way the
+//! same type produces the same [`JudgeOutput`]. The session's
+//! FSM-transition stream is additionally re-applied through a leased
+//! set of pooled lock-free [`AtomicStore`] engines
 //! ([`jinn_fsm::AtomicEnginePool`]) to produce per-machine entity
-//! rollups without rebuilding compiled machines per session — and
-//! without any mutex on the rollup path, so concurrent ingest workers
-//! never convoy on a pool engine's interior lock.
+//! rollups without rebuilding compiled machines per session.
 //!
 //! [`AtomicStore`]: jinn_fsm::AtomicStore
 
 use std::collections::{BTreeSet, HashMap};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use jinn_fsm::{AtomicEnginePool, AtomicStore, Engine, EngineLease, TransitionOutcome};
+use jinn_fsm::{AtomicEnginePool, Engine, TransitionOutcome};
 use jinn_obs::{EventKind, Recorder, TraceEvent};
-use jinn_replay::{replay_trace, replay_trace_observed, ReplayConfig, Trace};
+use jinn_replay::{
+    activations, Activation, ReplayConfig, ReplayOutcome, Replayer, Trace, TraceError,
+};
 
 use crate::manifest::SpecializedPool;
 use crate::session::{
@@ -159,9 +163,8 @@ pub(crate) fn summarize(session: SessionId, ev: &TraceEvent) -> EventSummary {
 /// Re-applies the session's transition stream through pooled compiled
 /// engines, producing one rollup per machine that saw traffic.
 ///
-/// Re-exported at the crate root as `rollup_events` so the discharge
-/// benchmark can drive the daemon's exact rollup path against an
-/// arbitrary pool.
+/// Re-exported at the crate root so the discharge benchmark can drive
+/// the daemon's exact rollup path against an arbitrary pool.
 ///
 /// Entity keys are dense *per machine*: each engine sees keys `0..n`
 /// for its own entities, so a store's slab growth tracks the machine's
@@ -173,18 +176,6 @@ pub fn rollup_events(
     events: &[TraceEvent],
 ) -> Vec<MachineRollup> {
     let mut lease = pool.lease();
-    rollup_events_on_lease(&mut lease, events)
-}
-
-/// [`rollup_events`] on an already-held lease. The streaming judge
-/// keeps one lease alive from session `Open` to `Seal` and rolls up
-/// the recorder's final ring on it at seal, so it must not re-lease
-/// (that would double-count pool concurrency and could build a second
-/// engine set mid-session).
-pub fn rollup_events_on_lease(
-    lease: &mut EngineLease<u64, AtomicStore<u64>>,
-    events: &[TraceEvent],
-) -> Vec<MachineRollup> {
     // Hoisted once per judge call: machine name -> engine index. The
     // per-event linear scan this replaces cost O(machines) per
     // transition.
@@ -255,7 +246,185 @@ pub fn rollup_events_on_lease(
     out
 }
 
-/// Parses and re-judges one sealed session.
+/// The session-level context a judged session's rows are filed under.
+pub(crate) struct Filing<'a> {
+    pub(crate) session: SessionId,
+    pub(crate) tenant: &'a str,
+    pub(crate) pool: &'a Arc<AtomicEnginePool<u64>>,
+    /// The tenant's manifest pool: rollups run there when it covers the
+    /// trace's call-site set; otherwise on `pool`, flagged as a
+    /// discharge fallback. Verdicts come from the replay either way.
+    pub(crate) specialized: Option<&'a SpecializedPool>,
+    pub(crate) max_events: usize,
+}
+
+/// One session's judge: a [`Replayer`] per configuration, the first
+/// recording into the session's [`Recorder`].
+pub(crate) struct Judge {
+    replayers: Vec<Replayer>,
+    labels: Vec<String>,
+    recorder: Recorder,
+}
+
+impl Judge {
+    /// Rebuilds `setup`'s world once per configuration, runs every
+    /// top-level activation `feed` yields on each, and finishes them.
+    /// A fold error in the feed ends the session where it occurred, so
+    /// errors surface in record order on both ingest paths.
+    ///
+    /// # Errors
+    ///
+    /// A quarantine reason naming the configuration that failed.
+    pub(crate) fn replay(
+        setup: &Trace,
+        configs: &[ReplayConfig],
+        recorder_ring: usize,
+        feed: impl IntoIterator<Item = Result<Activation, TraceError>>,
+    ) -> Result<Judged, String> {
+        let recorder = Recorder::enabled(recorder_ring);
+        let labels: Vec<String> = configs.iter().map(ReplayConfig::label).collect();
+        let replayers = configs
+            .iter()
+            .enumerate()
+            .map(|(i, config)| {
+                Replayer::new(setup, config, (i == 0).then_some(&recorder))
+                    .map_err(|e| failed(&labels[i], &e))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut judge = Judge {
+            replayers,
+            labels,
+            recorder,
+        };
+        for top in feed {
+            judge.run(top)?;
+        }
+        judge.finish()
+    }
+
+    /// Runs one top-level activation under every configuration (clones
+    /// for all but the last).
+    fn run(&mut self, top: Result<Activation, TraceError>) -> Result<(), String> {
+        let labels = &self.labels;
+        let Some((last, rest)) = self.replayers.split_last_mut() else {
+            return Ok(());
+        };
+        let top = top.map_err(|e| failed(&labels[0], &e))?;
+        for (replayer, label) in rest.iter_mut().zip(labels) {
+            replayer.run(top.clone()).map_err(|e| failed(label, &e))?;
+        }
+        last.run(top).map_err(|e| failed(&labels[rest.len()], &e))
+    }
+
+    fn finish(self) -> Result<Judged, String> {
+        let outcomes = self
+            .replayers
+            .into_iter()
+            .zip(&self.labels)
+            .map(|(r, label)| r.finish().map_err(|e| failed(label, &e)))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Judged {
+            outcomes,
+            recorder: self.recorder,
+        })
+    }
+}
+
+fn failed(label: &str, e: &TraceError) -> String {
+    format!("replay under {label} failed: {e}")
+}
+
+/// Runs a judge body, turning a panic in the substrate (input no
+/// structural check anticipated) into a quarantine reason, so one
+/// adversarial session never takes its thread down with it.
+pub(crate) fn guarded(
+    configs: &[ReplayConfig],
+    body: impl FnOnce() -> Result<Judged, String>,
+) -> Result<Judged, String> {
+    catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|_| Err(panicked(configs)))
+}
+
+/// The quarantine reason for a judge that panicked.
+pub(crate) fn panicked(configs: &[ReplayConfig]) -> String {
+    let label = configs
+        .first()
+        .map_or_else(String::new, ReplayConfig::label);
+    format!("replay under {label} failed: panicked")
+}
+
+/// What a session's replays produced: per-config outcomes in config
+/// order, and the first configuration's recorder.
+pub(crate) struct Judged {
+    outcomes: Vec<ReplayOutcome>,
+    recorder: Recorder,
+}
+
+impl Judged {
+    /// Condenses the replays into the session's history rows: outcome
+    /// and verdict rows per config, event summaries and rollups from
+    /// the recorder, and the audit rows from `trace`'s setup section
+    /// and call-site set.
+    pub(crate) fn output(
+        self,
+        trace: &Trace,
+        called_functions: BTreeSet<String>,
+        filing: &Filing<'_>,
+    ) -> JudgeOutput {
+        let session = filing.session;
+        let (rollup_pool, specialized, discharge_fallback) = match filing.specialized {
+            Some(sp) if sp.covers(&called_functions) => (sp.pool(), true, false),
+            Some(_) => (filing.pool, false, true),
+            None => (filing.pool, false, false),
+        };
+        let all = self.recorder.events();
+        let rollups = rollup_events(rollup_pool, &all);
+        let skip = all.len().saturating_sub(filing.max_events);
+        let events = all
+            .iter()
+            .skip(skip)
+            .map(|e| summarize(session, e))
+            .collect();
+        let mut verdicts = Vec::new();
+        let mut outcomes = Vec::with_capacity(self.outcomes.len());
+        for out in &self.outcomes {
+            verdicts.extend(out.violations.iter().map(|v| VerdictRec {
+                session,
+                tenant: filing.tenant.to_string(),
+                config: out.label.clone(),
+                machine: v.machine.to_string(),
+                error_state: v.error_state.to_string(),
+                function: v.function.clone(),
+                message: v.message.clone(),
+            }));
+            outcomes.push(OutcomeRec {
+                session,
+                config: out.label.clone(),
+                behavior: out.behavior.to_string(),
+                message: out.message.clone(),
+                events_replayed: out.events_replayed,
+                divergences: out.divergences,
+            });
+        }
+        JudgeOutput {
+            program: trace.program().to_string(),
+            events_replayed: self.outcomes.iter().map(|o| o.events_replayed).sum(),
+            divergences: self.outcomes.iter().map(|o| o.divergences).sum(),
+            outcomes,
+            verdicts,
+            events,
+            events_dropped: self.recorder.dropped_events() + skip as u64,
+            rollups,
+            obs: obs_counters(trace),
+            discharge: discharge_stats(trace.program(), &called_functions),
+            called_functions,
+            specialized,
+            discharge_fallback,
+        }
+    }
+}
+
+/// Parses and re-judges one sealed session: the [`Judge`] fed every
+/// activation at once.
 ///
 /// When the tenant has a manifest, `specialized` carries its pool: a
 /// trace whose own call-site set the manifest covers rolls up there;
@@ -279,110 +448,17 @@ pub fn judge(
     max_events: usize,
 ) -> Result<JudgeOutput, String> {
     let trace = Trace::parse(bytes).map_err(|e| format!("unreadable trace: {e}"))?;
-    judge_trace(
-        &trace,
+    let judged = guarded(configs, || {
+        Judge::replay(&trace, configs, recorder_ring, activations(&trace.events))
+    })?;
+    let filing = Filing {
         session,
         tenant,
-        configs,
         pool,
         specialized,
-        recorder_ring,
         max_events,
-    )
-}
-
-/// [`judge`] for an already-parsed trace. The streaming judge's
-/// fallback valve lands here: when a live session turns out to be
-/// anomalous (overlapping activations, manifest escape discovered
-/// mid-stream, …) it discards the speculative outcome and re-judges
-/// the retained records buffered — without re-decoding bytes it
-/// already decoded once.
-#[allow(clippy::too_many_arguments)]
-pub fn judge_trace(
-    trace: &Trace,
-    session: SessionId,
-    tenant: &str,
-    configs: &[ReplayConfig],
-    pool: &Arc<AtomicEnginePool<u64>>,
-    specialized: Option<&SpecializedPool>,
-    recorder_ring: usize,
-    max_events: usize,
-) -> Result<JudgeOutput, String> {
-    let obs = obs_counters(trace);
-    let program = trace.program().to_string();
-    let called_functions = trace.called_functions();
-    let (rollup_pool, specialized_hit, discharge_fallback) = match specialized {
-        Some(sp) if sp.covers(&called_functions) => (Arc::clone(sp.pool()), true, false),
-        Some(_) => (Arc::clone(pool), false, true),
-        None => (Arc::clone(pool), false, false),
     };
-    let discharge = discharge_stats(&program, &called_functions);
-
-    let mut outcomes = Vec::with_capacity(configs.len());
-    let mut verdicts = Vec::new();
-    let mut events = Vec::new();
-    let mut events_dropped = 0u64;
-    let mut rollups = Vec::new();
-    let mut events_replayed = 0u64;
-    let mut divergences = 0u64;
-
-    for (i, config) in configs.iter().enumerate() {
-        let recorder = (i == 0).then(|| Recorder::enabled(recorder_ring));
-        let outcome = match &recorder {
-            Some(rec) => replay_trace_observed(trace, config, rec),
-            None => replay_trace(trace, config),
-        }
-        .map_err(|e| format!("replay under {} failed: {e}", config.label()))?;
-
-        events_replayed += outcome.events_replayed;
-        divergences += outcome.divergences;
-        verdicts.extend(outcome.violations.iter().map(|v| VerdictRec {
-            session,
-            tenant: tenant.to_string(),
-            config: config.label(),
-            machine: v.machine.to_string(),
-            error_state: v.error_state.to_string(),
-            function: v.function.clone(),
-            message: v.message.clone(),
-        }));
-        outcomes.push(OutcomeRec {
-            session,
-            config: config.label(),
-            behavior: outcome.behavior.to_string(),
-            message: outcome.message.clone(),
-            events_replayed: outcome.events_replayed,
-            divergences: outcome.divergences,
-        });
-
-        if let Some(rec) = recorder {
-            let all = rec.events();
-            events_dropped = rec.dropped_events();
-            rollups = rollup_events(&rollup_pool, &all);
-            let skip = all.len().saturating_sub(max_events);
-            events_dropped += skip as u64;
-            events = all
-                .iter()
-                .skip(skip)
-                .map(|e| summarize(session, e))
-                .collect();
-        }
-    }
-
-    Ok(JudgeOutput {
-        program,
-        outcomes,
-        verdicts,
-        events,
-        events_dropped,
-        rollups,
-        obs,
-        discharge,
-        events_replayed,
-        divergences,
-        called_functions,
-        specialized: specialized_hit,
-        discharge_fallback,
-    })
+    Ok(judged.output(&trace, trace.called_functions(), &filing))
 }
 
 #[cfg(test)]

@@ -15,29 +15,30 @@
 //!   checker-stack selection.
 //! * **Ingest pipeline** — [`Daemon`] runs N worker threads over a
 //!   bounded queue. A sealed session is parsed with the hardened trace
-//!   reader and replayed under its configs
-//!   ([`jinn_replay::replay_trace_observed`]); compiled check tables are
-//!   cloned from a process-wide synthesis cache, and per-machine entity
-//!   rollups reuse pooled lock-free engines
+//!   reader and judged: one [`jinn_replay::Replayer`] per config runs
+//!   every top-level activation of the trace ([`judge`]); compiled
+//!   check tables are cloned from a process-wide synthesis cache, and
+//!   per-machine entity rollups reuse pooled lock-free engines
 //!   ([`jinn_fsm::AtomicEnginePool`]). Corrupt input — frame checksum
-//!   mismatch, truncation, unreadable trace — quarantines the one
-//!   poisoned session and never stalls the fleet.
+//!   mismatch, truncation, unreadable trace, forged ids — quarantines
+//!   the one poisoned session and never stalls the fleet.
 //! * **Verdict/history store with retention** — per-session verdicts,
 //!   per-config outcomes, and execution-event summaries under a global
 //!   byte budget with deterministic oldest-session-first purge
 //!   ([`store`] module docs).
 //! * **Streaming incremental judging** — while a `streaming_sessions`
-//!   permit is available, a session is judged *as it uploads*: a
-//!   resumable record decoder ([`jinn_replay::StreamDecoder`]) consumes
-//!   each `Append`, releases the bytes it decodes (only the undecoded
-//!   tail stays resident), and pipes events to a per-session live
-//!   replay executor, so `Seal` only verifies the declared
-//!   length/checksum against running totals and publishes the
-//!   already-computed result. The speculative verdict is never
-//!   observable before seal verification passes; seal mismatch, decode
-//!   error, or a live-replay anomaly falls back to quarantine or a
-//!   buffered re-judge with byte-identical semantics (`streaming`
-//!   module docs, DESIGN.md §16).
+//!   slot is free at `Open`, a session is judged *as it uploads*, under
+//!   any checker stack: a resumable record decoder
+//!   ([`jinn_replay::StreamDecoder`]) consumes each `Append` and
+//!   releases the bytes it decodes, an [`jinn_replay::ActivationFold`]
+//!   turns event records into top-level activations, and each one is
+//!   sent over a channel to the session's executor thread as soon as
+//!   its `NativeExit` arrives. The executor is the buffered judge fed
+//!   one activation at a time, so `Seal` only verifies the declared
+//!   length/checksum against running totals, replays the last
+//!   activation, and rolls up. A buffered session is the same judge fed
+//!   every activation at once; nothing is published before the seal
+//!   verifies (`streaming` module docs, DESIGN.md §16).
 //! * **Workload-adaptive discharge** — a tenant can declare its
 //!   call-site manifest (the `Manifest` frame /
 //!   [`DaemonHandle::declare_manifest`]), or the daemon can learn one
@@ -97,7 +98,7 @@ mod streaming;
 
 pub use daemon::{Daemon, DaemonHandle, ServeConfig, AUTO_SESSION_BASE};
 pub use error::ServeError;
-pub use judge::{judge, judge_trace, obs_counters, rollup_events, JudgeOutput};
+pub use judge::{judge, obs_counters, rollup_events, JudgeOutput};
 pub use manifest::{ManifestRegistryStats, ManifestSource, ManifestSummary, SpecializedPool};
 pub use session::{
     DischargeStats, EventSummary, MachineRollup, ObsCounters, OutcomeRec, SessionId, SessionState,

@@ -5,128 +5,96 @@
 //! latency is O(trace) and its buffered footprint is the whole trace.
 //! A streaming session instead runs a [`StreamingSession`] from `Open`:
 //! a resumable record-granularity scanner ([`StreamDecoder`]) consumes
-//! each `Append` chunk as it arrives, releases the bytes as soon as
-//! they decode (only the undecoded tail stays resident), and pipes the
-//! decoded event records into a live replay executor thread
-//! ([`run_live_replay`]) via an [`EventFeed`]. By the time `Seal`
-//! arrives the replay has (usually) kept pace, so seal-to-verdict work
-//! collapses to: verify the declared length/checksum against the
-//! scanner's running totals, drain whatever tail is left, and roll up
-//! the recorder's final ring — O(1) in the trace length.
+//! each `Append` chunk as it arrives and releases the bytes it decodes;
+//! setup records go to a [`TraceBuilder`], event records to an
+//! [`ActivationFold`]. Each top-level activation the fold closes is sent
+//! over a plain channel to the session's executor thread, which runs it
+//! on the same [`Judge`] type a buffered session uses. By `Seal` every
+//! activation but the last has (usually) been replayed, so the
+//! seal-to-verdict work is: verify the declared length/checksum against
+//! the scanner's running totals, replay what is left, and roll up.
 //!
 //! ## Soundness
 //!
-//! Everything the executor computes before seal verification passes is
-//! *speculative* and externally invisible: verdicts only become
-//! observable through `SessionTable::finish`, which a worker calls
-//! strictly after `Seal` succeeded. Three valves discard speculation:
+//! Streaming and buffered judging are the same computation in the same
+//! order: the fold is the one `replay_trace` runs, the executor is the
+//! buffered judge fed one activation at a time, and a fold error travels
+//! in-band so errors surface in record order on both paths. What the
+//! executor computes is unobservable until a worker publishes it, which
+//! happens strictly after `Seal` verified the declaration:
 //!
-//! - **Seal mismatch** — the declared length/checksum disagrees with
-//!   the running totals: the session is poisoned with byte-identical
+//! - **Seal mismatch** — the session is poisoned with byte-identical
 //!   reasons to the buffered path and nothing is published.
-//! - **Decode error** — the scanner is sticky-poisoned mid-stream
-//!   (exact error parity with batch decoding); the worker fails the
-//!   session with the same `unreadable trace: …` reason the buffered
-//!   judge would produce.
-//! - **Anomaly** — the trace's activation structure makes live order
-//!   provably unable to match the buffered fold (same-method
-//!   overlapping activations, activations still open at end of trace,
-//!   setup records mid-stream), or the executor itself failed: the
-//!   speculative outcome is discarded and the retained records are
-//!   re-judged buffered ([`judge_trace`]) — producing exactly what the
-//!   buffered daemon would have.
+//! - **Unreadable trace** — a decode error (exact error parity with
+//!   batch decoding) or a setup record after the first event (so the
+//!   setup the executor starts from is the setup the buffered judge
+//!   sees; [`TraceBuilder`] states the rule): the
+//!   worker fails the session with the same `unreadable trace: …`
+//!   reason the buffered judge would produce.
 //!
-//! The manifest interplay is decided at seal, like the buffered path:
-//! a tenant's specialized pool serves the rollup only if it covers the
-//! (now complete) call-site set; otherwise the full-pool lease held
-//! since `Open` serves it and the session is flagged
-//! `discharge_fallback` — preserving verdict-multiset equality because
-//! the pool choice never affects verdicts.
+//! The executor thread is per session, not a pool task: judging every
+//! session on the ingest workers measured faster on churn uploads, but
+//! grew peak RSS through glibc's per-worker malloc arenas (DESIGN.md
+//! §16).
 
 use std::collections::BTreeSet;
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use jinn_fsm::{AtomicEnginePool, AtomicStore, EngineLease};
-use jinn_obs::Recorder;
+use jinn_fsm::AtomicEnginePool;
 use jinn_replay::{
-    run_live_replay, verify_seal_declaration, EventFeed, LiveFeeder, ReplayConfig, ReplayOutcome,
-    StreamDecoder, Trace, TraceError, TraceRecord,
+    called_function, verify_seal_declaration, Activation, ActivationFold, ReplayConfig,
+    StreamDecoder, TraceBuilder, TraceError, TraceRecord,
 };
 
-use crate::judge::{
-    discharge_stats, judge_trace, obs_counters, rollup_events_on_lease, summarize, JudgeOutput,
-};
+use crate::judge::{guarded, panicked, Filing, Judge, JudgeOutput, Judged};
 use crate::manifest::SpecializedPool;
-use crate::session::{OutcomeRec, SessionId, VerdictRec};
+use crate::session::SessionId;
+
+/// A top-level activation for the executor, or the fold error that
+/// ended the stream.
+type Feed = Result<Activation, TraceError>;
 
 /// One live-judged session: the scanner fed by the ingest connection
-/// and the executor thread replaying what it decodes.
+/// and the executor thread replaying what it folds.
 pub(crate) struct StreamingSession {
     session: SessionId,
-    config: ReplayConfig,
-    feed: Arc<EventFeed>,
-    recorder: Recorder,
+    configs: Vec<ReplayConfig>,
+    recorder_ring: usize,
     inner: Mutex<StreamInner>,
 }
 
+#[derive(Default)]
 struct StreamInner {
     decoder: StreamDecoder,
-    feeder: LiveFeeder,
-    /// Every decoded record, retained in [`Trace::parse`] shape (setup
-    /// hoisted, events in order) so the anomaly valve can re-judge
-    /// buffered without re-decoding.
-    trace: Trace,
-    saw_event: bool,
-    /// The call-site set, accumulated record-by-record during ingest so
-    /// seal-time pool selection and the discharge audit never walk the
-    /// retained events (always equal to `trace.called_functions()`).
+    setup: TraceBuilder,
+    fold: ActivationFold,
+    /// The call-site set, accumulated record by record so seal-time pool
+    /// selection never walks the events.
     called: BTreeSet<String>,
-    executor: Option<JoinHandle<Result<ReplayOutcome, TraceError>>>,
-    anomaly: Option<String>,
-    decode_error: Option<TraceError>,
-    /// Full-pool engine lease held `Open`→`Seal`. Reserves rollup
-    /// capacity for the live session (the pool's `lease_high_water`
-    /// tracks streaming concurrency) and serves the seal-time rollup
-    /// unless a covering specialized pool takes over.
-    lease: Option<EngineLease<u64, AtomicStore<u64>>>,
+    /// The executor's inbox; dropped to end the feed.
+    feed: Option<Sender<Feed>>,
+    executor: Option<JoinHandle<Result<Judged, String>>>,
+    /// The first decode or setup-order error.
+    unreadable: Option<TraceError>,
 }
 
 impl StreamingSession {
-    /// Starts the scanner and takes the session's engine lease. The
-    /// executor thread is spawned lazily at the first *event* record —
-    /// only then is the setup section known complete (a later setup
-    /// record is an anomaly, exactly the condition under which the
-    /// buffered fold could disagree).
+    /// Starts the scanner. The executor thread is spawned lazily at the
+    /// first *event* record — only then is the setup section complete.
     pub(crate) fn start(
         session: SessionId,
-        config: ReplayConfig,
-        pool: &Arc<AtomicEnginePool<u64>>,
+        configs: Vec<ReplayConfig>,
         recorder_ring: usize,
     ) -> StreamingSession {
-        let feed = Arc::new(EventFeed::new());
         StreamingSession {
             session,
-            config,
-            feed: Arc::clone(&feed),
-            recorder: Recorder::enabled(recorder_ring),
+            configs,
+            recorder_ring,
             inner: Mutex::new(StreamInner {
                 decoder: StreamDecoder::new(),
-                feeder: LiveFeeder::new(feed),
-                trace: Trace {
-                    meta: Vec::new(),
-                    classes: Vec::new(),
-                    threads: Vec::new(),
-                    seeds: Vec::new(),
-                    events: Vec::new(),
-                    version: 0,
-                },
-                saw_event: false,
-                called: BTreeSet::new(),
-                executor: None,
-                anomaly: None,
-                decode_error: None,
-                lease: Some(pool.lease()),
+                ..StreamInner::default()
             }),
         }
     }
@@ -136,107 +104,68 @@ impl StreamingSession {
     }
 
     /// Feeds one `Append` chunk: decodes whatever records it completes,
-    /// routes them (retained trace + live feed), and returns the
-    /// undecoded tail — the only bytes still resident.
+    /// routes them, and returns the undecoded tail — the only bytes
+    /// still resident.
     pub(crate) fn ingest(&self, chunk: &[u8]) -> u64 {
         let mut g = self.lock();
         g.decoder.feed(chunk);
         self.drain(&mut g);
-        g.trace.version = g.decoder.version();
         g.decoder.pending()
     }
 
     fn drain(&self, g: &mut StreamInner) {
-        loop {
-            match g.decoder.next_record() {
-                Ok(Some(rec)) => self.route(g, rec),
+        while g.unreadable.is_none() {
+            let record = match g.decoder.next_record() {
+                Ok(Some(record)) => g.setup.push(record),
                 Ok(None) => break,
+                Err(e) => Err(e),
+            };
+            match record {
+                Ok(Some(event)) => self.route(g, event),
+                Ok(None) => {}
                 Err(e) => {
-                    if g.decode_error.is_none() {
-                        g.decode_error = Some(e);
-                        // Nothing past a poisoned decoder can be judged
-                        // live; unblock the executor now.
-                        self.feed.finish();
-                    }
-                    break;
+                    g.unreadable = Some(e);
+                    // Nothing past an unreadable record is judged.
+                    g.feed = None;
                 }
             }
         }
     }
 
-    fn route(&self, g: &mut StreamInner, rec: TraceRecord) {
-        match rec {
-            // Setup records land in the retained trace's setup section
-            // regardless of position — exactly `Trace::parse`'s hoist —
-            // but one arriving after events began breaks live/buffered
-            // parity, so it also trips the anomaly valve.
-            TraceRecord::Meta { key, value } => {
-                self.note_setup(g);
-                g.trace.meta.push((key, value));
-            }
-            TraceRecord::DefClass(c) => {
-                self.note_setup(g);
-                g.trace.classes.push(c);
-            }
-            TraceRecord::SpawnThread { thread } => {
-                self.note_setup(g);
-                g.trace.threads.push(thread);
-            }
-            TraceRecord::Seed(s) => {
-                self.note_setup(g);
-                g.trace.seeds.push(s);
-            }
-            event => {
-                if !g.saw_event {
-                    g.saw_event = true;
-                    self.spawn_executor(g);
-                }
-                if let TraceRecord::JniEnter { func, .. } = &event {
-                    let name = minijni::FuncId(*func).name();
-                    if !g.called.contains(name) {
-                        g.called.insert(name.to_string());
-                    }
-                }
-                if g.anomaly.is_none() {
-                    if let Err(why) = g.feeder.push(&event) {
-                        self.note_anomaly(g, why);
-                    }
-                }
-                g.trace.events.push(event);
+    fn route(&self, g: &mut StreamInner, event: TraceRecord) {
+        if g.executor.is_none() {
+            self.spawn_executor(g);
+        }
+        let Some(feed) = &g.feed else {
+            return; // the fold already failed
+        };
+        if let Some(name) = called_function(&event) {
+            if !g.called.contains(name) {
+                g.called.insert(name.to_string());
             }
         }
-    }
-
-    fn note_setup(&self, g: &mut StreamInner) {
-        if g.saw_event && g.anomaly.is_none() {
-            self.note_anomaly(g, "setup record in event stream".to_string());
-        }
-    }
-
-    fn note_anomaly(&self, g: &mut StreamInner, why: String) {
-        if g.anomaly.is_none() {
-            g.anomaly = Some(why);
-            // The executor's result will be discarded; let it drain out.
-            self.feed.finish();
+        // A closed inbox means the executor already failed; its error
+        // is collected at seal.
+        match g.fold.push(event) {
+            Ok(Some(top)) => drop(feed.send(Ok(top))),
+            Ok(None) => {}
+            Err(e) => {
+                drop(feed.send(Err(e)));
+                g.feed = None;
+            }
         }
     }
 
     fn spawn_executor(&self, g: &mut StreamInner) {
-        let setup = Trace {
-            meta: g.trace.meta.clone(),
-            classes: g.trace.classes.clone(),
-            threads: g.trace.threads.clone(),
-            seeds: g.trace.seeds.clone(),
-            events: Vec::new(),
-            version: g.decoder.version(),
-        };
-        let config = self.config.clone();
-        let recorder = self.recorder.clone();
-        let feed = Arc::clone(&self.feed);
+        let (feed, inbox) = mpsc::channel();
+        let setup = g.setup.setup().clone();
+        let configs = self.configs.clone();
+        let ring = self.recorder_ring;
         let handle = std::thread::Builder::new()
             .name(format!("jinn-serve-stream-{}", self.session))
-            .spawn(move || run_live_replay(&setup, &config, Some(&recorder), &feed))
+            .spawn(move || Judge::replay(&setup, &configs, ring, inbox))
             .expect("spawn streaming executor");
+        g.feed = Some(feed);
         g.executor = Some(handle);
     }
 
@@ -260,26 +189,26 @@ impl StreamingSession {
 
     /// Closes the stream after a successful seal: drains any residual
     /// tail, runs the scanner's end-of-stream verification (missing
-    /// `End`, trailing bytes — batch error parity), and finishes the
-    /// feed so the executor completes. The worker collects the result.
+    /// `End`, trailing bytes — batch error parity), sends the activations
+    /// the trace left open, and ends the executor's feed.
     pub(crate) fn finalize(&self) {
         let mut g = self.lock();
         self.drain(&mut g);
-        if g.decode_error.is_none() {
+        if g.unreadable.is_none() {
             if let Err(e) = g.decoder.finish() {
-                g.decode_error = Some(e);
+                g.unreadable = Some(e);
             }
         }
-        if let Err(why) = g.feeder.finish() {
-            if g.anomaly.is_none() {
-                g.anomaly = Some(why);
+        let feed = g.feed.take();
+        if let (None, Some(feed)) = (&g.unreadable, feed) {
+            for top in std::mem::take(&mut g.fold).finish() {
+                drop(feed.send(Ok(top)));
             }
         }
     }
 
-    /// Worker entry after `Seal`: joins the executor and either
-    /// publishes its (no-longer-speculative) outcome or runs one of the
-    /// discard valves.
+    /// Worker entry after `Seal`: joins the executor and files its
+    /// result.
     ///
     /// # Errors
     ///
@@ -287,132 +216,45 @@ impl StreamingSession {
     pub(crate) fn collect(
         &self,
         tenant: &str,
-        configs: &[ReplayConfig],
         pool: &Arc<AtomicEnginePool<u64>>,
         specialized: Option<&SpecializedPool>,
-        recorder_ring: usize,
         max_events: usize,
     ) -> Result<JudgeOutput, String> {
         let mut g = self.lock();
-        if let Some(e) = &g.decode_error {
+        g.feed = None;
+        let joined = g
+            .executor
+            .take()
+            .map(|h| h.join().unwrap_or_else(|_| Err(panicked(&self.configs))));
+        if let Some(e) = &g.unreadable {
             return Err(format!("unreadable trace: {e}"));
         }
-        let outcome = match g.executor.take() {
-            Some(h) => match h.join() {
-                Ok(Ok(out)) => Some(out),
-                // A failed or panicked executor is treated like an
-                // anomaly: re-judge buffered so the session resolves
-                // exactly as it would have without streaming.
-                Ok(Err(_)) | Err(_) => None,
-            },
-            // No event ever streamed (setup-only trace): the buffered
-            // judge is already O(1) for it.
-            None => None,
+        let judged = match joined {
+            Some(judged) => judged,
+            // No event ever arrived: judge the setup alone, as buffered.
+            None => guarded(&self.configs, || {
+                Judge::replay(g.setup.setup(), &self.configs, self.recorder_ring, [])
+            }),
+        }?;
+        let filing = Filing {
+            session: self.session,
+            tenant,
+            pool,
+            specialized,
+            max_events,
         };
-        match outcome {
-            Some(out) if g.anomaly.is_none() => {
-                Ok(self.assemble(&mut g, out, tenant, specialized, max_events))
-            }
-            _ => judge_trace(
-                &g.trace,
-                self.session,
-                tenant,
-                configs,
-                pool,
-                specialized,
-                recorder_ring,
-                max_events,
-            ),
-        }
-    }
-
-    /// Publishes the live outcome: per-config rows from the executor,
-    /// summaries and rollups from the recorder's final ring (on the
-    /// held lease, or a covering specialized pool's), audit rows from
-    /// the retained trace — field-for-field what the buffered judge
-    /// produces.
-    fn assemble(
-        &self,
-        g: &mut StreamInner,
-        out: ReplayOutcome,
-        tenant: &str,
-        specialized: Option<&SpecializedPool>,
-        max_events: usize,
-    ) -> JudgeOutput {
-        let session = self.session;
-        let called_functions = std::mem::take(&mut g.called);
-        let trace = &g.trace;
-        let (specialized_hit, discharge_fallback) = match specialized {
-            Some(sp) if sp.covers(&called_functions) => (true, false),
-            Some(_) => (false, true),
-            None => (false, false),
-        };
-        let all = self.recorder.events();
-        let rollups = if specialized_hit {
-            let sp = specialized.expect("specialized_hit implies a pool");
-            let mut lease = sp.pool().lease();
-            rollup_events_on_lease(&mut lease, &all)
-        } else {
-            let mut lease = g.lease.take().expect("lease held until collection");
-            rollup_events_on_lease(&mut lease, &all)
-        };
-        let mut events_dropped = self.recorder.dropped_events();
-        let skip = all.len().saturating_sub(max_events);
-        events_dropped += skip as u64;
-        let events = all
-            .iter()
-            .skip(skip)
-            .map(|e| summarize(session, e))
-            .collect();
-        let config_label = self.config.label();
-        let verdicts = out
-            .violations
-            .iter()
-            .map(|v| VerdictRec {
-                session,
-                tenant: tenant.to_string(),
-                config: config_label.clone(),
-                machine: v.machine.to_string(),
-                error_state: v.error_state.to_string(),
-                function: v.function.clone(),
-                message: v.message.clone(),
-            })
-            .collect();
-        let outcomes = vec![OutcomeRec {
-            session,
-            config: config_label,
-            behavior: out.behavior.to_string(),
-            message: out.message.clone(),
-            events_replayed: out.events_replayed,
-            divergences: out.divergences,
-        }];
-        JudgeOutput {
-            program: trace.program().to_string(),
-            outcomes,
-            verdicts,
-            events,
-            events_dropped,
-            rollups,
-            obs: obs_counters(trace),
-            discharge: discharge_stats(trace.program(), &called_functions),
-            events_replayed: out.events_replayed,
-            divergences: out.divergences,
-            called_functions,
-            specialized: specialized_hit,
-            discharge_fallback,
-        }
+        let called = std::mem::take(&mut g.called);
+        Ok(judged.output(g.setup.setup(), called, &filing))
     }
 
     /// Tears the session down without publishing anything: quarantine,
     /// abort, and shutdown all land here. Safe to call at any point —
-    /// the feed is finished so a running executor drains and exits, and
-    /// its result is dropped.
+    /// the feed is ended so a running executor drains and exits.
     pub(crate) fn discard(&self) {
-        self.feed.finish();
         let mut g = self.lock();
+        g.feed = None;
         if let Some(h) = g.executor.take() {
             let _ = h.join();
         }
-        g.lease = None;
     }
 }

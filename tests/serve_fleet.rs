@@ -8,10 +8,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread;
 
+mod fixtures;
+
 use jinn::replay::format::fnv1a;
 use jinn::replay::{
-    case_studies, decode_stream, encode_frame, encode_ingest, microbench_programs, replay_trace,
-    Frame, ReplayConfig, Trace,
+    case_studies, decode_stream, encode_frame, encode_ingest, microbench_programs, record_program,
+    replay_trace, standard_configs, Frame, Program, ReplayConfig, Trace,
 };
 use jinn::serve::{Daemon, Query, QueryItem, QueryKind, ServeConfig, SessionState};
 
@@ -523,65 +525,89 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
     buffered.shutdown();
 }
 
-/// A trace the live executor cannot judge faithfully — an activation
-/// still open at end of trace (the buffered fold silently drops it,
-/// live order cannot) — exercises the streaming anomaly valve: the
-/// speculative live outcome is discarded and the session is re-judged
-/// from the retained records, so streaming and buffered daemons still
-/// agree exactly.
+/// Every record a trace surfaces, with the offset just past its last
+/// byte (a surfaced record's span starts with any `Intern` records that
+/// define strings it is the first to use).
+fn surfaced_records(bytes: &[u8]) -> Vec<(jinn::replay::TraceRecord, usize)> {
+    let mut dec = jinn::replay::StreamDecoder::new();
+    let mut records = Vec::new();
+    for (i, b) in bytes.iter().enumerate() {
+        dec.feed(std::slice::from_ref(b));
+        while let Some(rec) = dec.next_record().expect("corpus trace decodes") {
+            records.push((rec, i + 1));
+        }
+    }
+    records
+}
+
+/// Reads one LEB128 varint at `*at`, advancing past it.
+fn read_varint(bytes: &[u8], at: &mut usize) -> u64 {
+    let (mut v, mut shift) = (0u64, 0);
+    loop {
+        let b = bytes[*at];
+        *at += 1;
+        v |= u64::from(b & 0x7F) << shift;
+        if b & 0x80 == 0 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+/// Seals `body` (everything before the `End` tag) with an `End` record
+/// declaring `count` raw records and the body's checksum.
+fn reseal(mut body: Vec<u8>, mut count: u64) -> Vec<u8> {
+    let sum = fnv1a(&body); // the checksum covers everything before the tag
+    body.push(0xFF); // End tag
+    loop {
+        let byte = (count & 0x7F) as u8;
+        count >>= 7;
+        if count == 0 {
+            body.push(byte);
+            break;
+        }
+        body.push(byte | 0x80);
+    }
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
+}
+
+/// Where the `End` record starts, and the raw-record count it declares
+/// (interns included, so read the varint rather than counting surfaced
+/// records).
+fn end_record(bytes: &[u8], records: &[(jinn::replay::TraceRecord, usize)]) -> (usize, u64) {
+    let end_pos = records.last().expect("records decoded").1;
+    assert_eq!(bytes[end_pos], 0xFF, "End tag follows the last record");
+    let mut at = end_pos + 1;
+    (end_pos, read_varint(bytes, &mut at))
+}
+
+/// A trace that ends inside an activation: one of its own `NativeEnter`
+/// records spliced in front of the `End` record. The fold hands the
+/// unfinished activation out at end of stream on both paths (an
+/// unfinished activation that runs replays as one divergence), so
+/// streaming and buffered daemons agree exactly and still publish.
 #[test]
-fn anomalous_live_trace_falls_back_and_still_matches_buffered() {
-    use jinn::replay::{StreamDecoder, TraceRecord};
+fn unfinished_activation_streams_like_it_buffers() {
+    use jinn::replay::TraceRecord;
 
     // Build the anomaly from a *real* corpus trace so every method id
     // resolves: duplicate one of its own NativeEnter records (no
     // interned strings — the bytes are position-independent) in front
     // of the End record, then re-seal with the new count and checksum.
     let bytes = corpus_bytes("LocalRefDangling");
-    let mut dec = StreamDecoder::new();
-    let mut boundaries = Vec::new(); // (record, end offset in `bytes`)
-    for (i, b) in bytes.iter().enumerate() {
-        dec.feed(std::slice::from_ref(b));
-        while let Some(rec) = dec.next_record().expect("corpus trace decodes") {
-            boundaries.push((rec, i + 1));
-        }
-    }
+    let boundaries = surfaced_records(&bytes);
     let enter_at = boundaries
         .iter()
         .position(|(r, _)| matches!(r, TraceRecord::NativeEnter { .. }))
         .expect("corpus trace has a native activation");
     assert!(enter_at > 0, "a setup record precedes the first activation");
-    let record = bytes[boundaries[enter_at - 1].1..boundaries[enter_at].1].to_vec();
+    let record = &bytes[boundaries[enter_at - 1].1..boundaries[enter_at].1];
 
-    // Everything after the last surfaced record is the End record: tag,
-    // raw-record count (interns included, so read the declared varint
-    // rather than counting surfaced records), 8-byte checksum.
-    let end_pos = boundaries.last().expect("records decoded").1;
-    assert_eq!(bytes[end_pos], 0xFF, "End tag follows the last record");
-    let mut declared = 0u64;
-    let mut shift = 0;
-    for &b in &bytes[end_pos + 1..] {
-        declared |= u64::from(b & 0x7F) << shift;
-        if b & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-    }
-    let mut count = declared + 1;
-    let mut spliced = bytes[..end_pos].to_vec();
-    spliced.extend_from_slice(&record);
-    let sum = fnv1a(&spliced); // the checksum covers everything before the tag
-    spliced.push(0xFF); // End tag
-    loop {
-        let byte = (count & 0x7F) as u8;
-        count >>= 7;
-        if count == 0 {
-            spliced.push(byte);
-            break;
-        }
-        spliced.push(byte | 0x80);
-    }
-    spliced.extend_from_slice(&sum.to_le_bytes());
+    let (end_pos, declared) = end_record(&bytes, &boundaries);
+    let mut body = bytes[..end_pos].to_vec();
+    body.extend_from_slice(record);
+    let spliced = reseal(body, declared + 1);
     let parsed = Trace::parse(&spliced).expect("splice is wire-valid");
     assert_eq!(
         parsed.events.len(),
@@ -624,18 +650,151 @@ fn anomalous_live_trace_falls_back_and_still_matches_buffered() {
     }
     assert_eq!(
         outcomes[0], outcomes[1],
-        "anomalous trace: streaming diverges from buffered"
+        "unfinished activation: streaming diverges from buffered"
     );
     assert_eq!(
         outcomes[0].0,
         SessionState::Judged,
-        "the fallback re-judge must still publish: {:?}",
+        "an unfinished activation still publishes: {:?}",
         outcomes[0].1
     );
     assert!(
         streaming.handle().session_stats(9).expect("stats").streamed,
-        "the session took the streaming path before falling back"
+        "the session took the streaming path"
     );
+    streaming.shutdown();
+    buffered.shutdown();
+}
+
+/// A trace whose one `leaks=true` record is moved behind its events. A
+/// streaming judge rebuilds the world when the first event arrives, so
+/// a late replay-read `Meta` key would be seen by the buffered judge
+/// only; the setup-order rule makes the trace unreadable on both paths
+/// instead, so both daemons quarantine it with the same reason.
+#[test]
+fn late_replay_meta_is_quarantined_on_both_paths() {
+    use jinn::replay::TraceRecord;
+
+    let bytes = corpus_bytes("GlobalLeak");
+    let records = surfaced_records(&bytes);
+    let at = records
+        .iter()
+        .position(|(r, _)| matches!(r, TraceRecord::Meta { key, value } if key == "leaks" && value == "true"))
+        .expect("GlobalLeak declares leaks=true");
+    assert!(at > 0, "other metadata precedes `leaks`");
+    // Keep any `Intern` records defining its strings in place; move
+    // only the `Meta` record itself (tag 0x02).
+    let mut meta_start = records[at - 1].1;
+    while bytes[meta_start] == 0x01 {
+        let mut cursor = meta_start + 1;
+        read_varint(&bytes, &mut cursor); // id
+        let len = read_varint(&bytes, &mut cursor);
+        meta_start = cursor + len as usize;
+    }
+    assert_eq!(bytes[meta_start], 0x02, "a Meta record follows the interns");
+    let meta = &bytes[meta_start..records[at].1];
+    let (end_pos, declared) = end_record(&bytes, &records);
+    let mut body = bytes[..meta_start].to_vec();
+    body.extend_from_slice(&bytes[records[at].1..end_pos]);
+    body.extend_from_slice(meta);
+    let moved = reseal(body, declared);
+
+    match Trace::parse(&moved) {
+        Err(e) => assert!(
+            e.to_string().contains("setup record in event stream"),
+            "{e}"
+        ),
+        Ok(_) => panic!("a late `leaks` record must be corrupt"),
+    }
+    const STACK: &str = "hotspot,j9,xcheck:hotspot,xcheck:j9,jinn";
+    let streaming = Daemon::start(ServeConfig {
+        streaming_sessions: 4096,
+        ..ServeConfig::default()
+    });
+    let buffered = Daemon::start(ServeConfig {
+        streaming_sessions: 0,
+        ..ServeConfig::default()
+    });
+    let mut reasons = Vec::new();
+    for daemon in [&streaming, &buffered] {
+        let handle = daemon.handle();
+        for frame in decode_stream(&encode_ingest(11, "t", STACK, &moved, 64)).unwrap() {
+            handle.apply_frame(&frame).expect("ingest");
+        }
+        let stats = handle.wait_session(11).expect("session exists");
+        assert_eq!(stats.state, SessionState::Quarantined, "{stats:?}");
+        reasons.push(stats.reason.clone().expect("quarantine has a reason"));
+    }
+    assert_eq!(
+        reasons[0], reasons[1],
+        "streaming and buffered reasons differ"
+    );
+    assert!(
+        reasons[0].starts_with("unreadable trace:")
+            && reasons[0].contains("setup record in event stream"),
+        "{}",
+        reasons[0]
+    );
+    assert!(
+        streaming
+            .handle()
+            .session_stats(11)
+            .expect("stats")
+            .streamed,
+        "the session took the streaming path"
+    );
+    streaming.shutdown();
+    buffered.shutdown();
+}
+
+/// The re-entrant `Rec.rec` probe under the five-config stack: every
+/// variant streams to exactly the verdicts it buffers to, and both equal
+/// a single-process replay per config.
+#[test]
+fn reentrant_probe_streams_like_it_buffers() {
+    const STACK: &str = "hotspot,j9,xcheck:hotspot,xcheck:j9,jinn";
+    let streaming = Daemon::start(ServeConfig {
+        streaming_sessions: 4096,
+        ..ServeConfig::default()
+    });
+    let buffered = Daemon::start(ServeConfig {
+        streaming_sessions: 0,
+        ..ServeConfig::default()
+    });
+    for (id, (label, scenario)) in fixtures::rec_probes().into_iter().enumerate() {
+        let id = id as u64;
+        let bytes = record_program(&Program::from_scenario(&scenario));
+        let mut sets = Vec::new();
+        for daemon in [&streaming, &buffered] {
+            let handle = daemon.handle();
+            for frame in decode_stream(&encode_ingest(id, "t", STACK, &bytes, 128)).unwrap() {
+                handle.apply_frame(&frame).expect("ingest");
+            }
+            let stats = handle.wait_session(id).expect("session exists");
+            assert_eq!(
+                stats.state,
+                SessionState::Judged,
+                "{label}: {:?}",
+                stats.reason
+            );
+            assert_eq!(stats.divergences, 0, "{label}");
+            sets.push(served_multiset(&handle, id));
+        }
+        let mut local = BTreeMap::new();
+        for config in standard_configs() {
+            for (k, n) in local_multiset(&bytes, &config) {
+                *local.entry(k).or_insert(0) += n;
+            }
+        }
+        assert_eq!(
+            sets[0], sets[1],
+            "{label}: streaming diverges from buffered"
+        );
+        assert_eq!(
+            sets[0], local,
+            "{label}: served verdicts diverge from replay"
+        );
+    }
     streaming.shutdown();
     buffered.shutdown();
 }
