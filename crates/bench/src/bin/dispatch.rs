@@ -18,7 +18,7 @@ use jinn_bench::dispatch::{
     best_nanos, dispatch_machine, median_nanos, run_lockfree, run_sharded, run_single,
     DispatchConfig,
 };
-use jinn_bench::env_u64;
+use jinn_bench::{env_u64, layer_members};
 use jinn_fsm::{CompactStore, StateStore, DENSE_LIMIT};
 
 fn main() {
@@ -83,6 +83,13 @@ fn main() {
     println!("{{");
     println!(
         "  \"benchmark\": \"engine dispatch: reference StateStore vs compiled CompactStore\","
+    );
+    print!(
+        "{}",
+        layer_members(
+            "fsm engine (side-car CompactStore/AtomicStore, not the checker's)",
+            false
+        )
     );
     println!("  \"machine\": {{");
     println!("    \"name\": \"{}\",", machine.name());

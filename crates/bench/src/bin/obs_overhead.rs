@@ -17,8 +17,8 @@
 //! than none. If `JINN_OBS_MAX_OVERHEAD` is set, the run fails when
 //! the enabled/disabled ratio exceeds it — the CI regression gate.
 
-use jinn_bench::env_u64;
 use jinn_bench::obs::{median_nanos, time_churn};
+use jinn_bench::{env_u64, layer_members};
 use jinn_obs::{Recorder, DEFAULT_RING_CAPACITY};
 
 fn main() {
@@ -73,6 +73,10 @@ fn main() {
     println!("{{");
     println!(
         "  \"benchmark\": \"jni-churn (strings across the JNI seam, Jinn checker attached)\","
+    );
+    print!(
+        "{}",
+        layer_members("recording (jinn-obs recorder on a live checked run)", true)
     );
     println!("  \"native_calls_per_trial\": {calls},");
     println!("  \"jni_roundtrips_per_call\": {strings},");

@@ -15,7 +15,7 @@
 //! single-thread baseline falls below the gate.
 
 use jinn_bench::parallel::{run_parallel, ParallelConfig, ParallelRun};
-use jinn_bench::{env_u64, render_table};
+use jinn_bench::{env_u64, host_cores, layer_members, render_table};
 
 const THREAD_COUNTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
@@ -40,9 +40,7 @@ where
 fn main() {
     let transitions = env_u64("JINN_PARALLEL_TRANSITIONS", 60_000);
     let ballast = env_u64("JINN_PARALLEL_BALLAST", 98_304) as usize;
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host_cores = host_cores();
 
     println!("Parallel Jinn: lock-free sharded checking throughput");
     println!(
@@ -114,9 +112,9 @@ fn main() {
         concat!(
             "{{\n",
             "  \"benchmark\": \"parallel lock-free checking (Table 3 workload mix)\",\n",
+            "{layer}",
             "  \"total_transitions\": {transitions},\n",
             "  \"ballast_objects\": {ballast},\n",
-            "  \"host_cores\": {host_cores},\n",
             "  \"thread_counts\": [1, 2, 4, 8, 16, 32, 64],\n",
             "  \"checked_events\": {checked},\n",
             "  \"wall_nanos\": {wall},\n",
@@ -139,9 +137,12 @@ fn main() {
             "parallelism\"\n",
             "}}\n",
         ),
+        layer = layer_members(
+            "fsm engine (side-car AtomicStore under per-worker checkers)",
+            false
+        ),
         transitions = transitions,
         ballast = ballast,
-        host_cores = host_cores,
         checked = json_list(&runs, |r| r.checked_events),
         wall = json_list(&runs, |r| r.elapsed.as_nanos()),
         eps = events_per_sec.join(", "),

@@ -22,7 +22,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use jinn_bench::env_u64;
+use jinn_bench::{env_u64, layer_members};
 use jinn_replay::{
     case_studies, check_version, diff_trace, microbench_programs, program_by_name, record_program,
     replay_trace, standard_configs, trace_discharge, RecordVendor, ReplayConfig, Trace,
@@ -545,6 +545,10 @@ fn cmd_bench() -> i32 {
     };
     println!("{{");
     println!("  \"benchmark\": \"jack-density workload (Table 3 transition mix)\",");
+    print!(
+        "{}",
+        layer_members("replay through the checker (plus live trace capture)", true)
+    );
     println!("  \"paper_transitions\": {},", spec.transitions);
     println!("  \"scale\": {scale},");
     println!("  \"transitions_per_trial\": {transitions},");

@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use jinn_bench::env_u64;
+use jinn_bench::{env_u64, layer_members};
 use jinn_replay::{
     case_studies, encode_ingest, microbench_programs, replay_trace, ReplayConfig, Trace,
 };
@@ -489,6 +489,10 @@ fn cmd_bench() -> i32 {
 
     println!("{{");
     println!("  \"benchmark\": \"jinn-serve fleet ingest (golden corpus round-robin)\",");
+    print!(
+        "{}",
+        layer_members("daemon end to end (frame decode to store publish)", true)
+    );
     println!("  \"sessions\": {sessions},");
     println!("  \"clients\": {clients},");
     println!("  \"workers\": {workers},");
@@ -738,6 +742,13 @@ fn cmd_bench_streaming() -> i32 {
         "  \"benchmark\": \"jinn-serve streaming vs buffered seal-to-verdict (paced churn \
          ingest + corpus equality sweep)\","
     );
+    print!(
+        "{}",
+        layer_members(
+            "daemon end to end, streaming vs buffered (seal to verdict)",
+            true
+        )
+    );
     println!("  \"sessions_per_mode\": {sessions},");
     println!("  \"chunk_bytes\": {chunk},");
     println!("  \"append_gap_micros\": {gap_micros},");
@@ -914,6 +925,10 @@ fn cmd_bench_discharge() -> i32 {
     println!("{{");
     println!(
         "  \"benchmark\": \"jinn-serve specialized-pool rollup vs ballast-inflated full pool\","
+    );
+    print!(
+        "{}",
+        layer_members("rollup (specialized engine pools)", true)
     );
     println!("  \"iterations\": {iters},");
     println!("  \"ballast_entities_per_machine\": {ballast_entities},");

@@ -81,6 +81,25 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
+/// The host's core count, as every `BENCH_*.json` records it.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// The members every `BENCH_*.json` states after its `benchmark` name:
+/// which layer it measures, whether that layer is on the verdict path
+/// (frame decode → trace decode → world rebuild → replay through the
+/// checker → recording → rollup → store publish), and [`host_cores`].
+/// One member per line, indented two spaces, each ending in `,\n`.
+pub fn layer_members(layer: &str, on_verdict_path: bool) -> String {
+    format!(
+        "  \"layer\": \"{layer}\",\n  \"on_verdict_path\": {on_verdict_path},\n  \"host_cores\": {},\n",
+        host_cores()
+    )
+}
+
 /// Marks agreement between the paper's expectation and the measured value.
 pub fn tick(matches: bool) -> &'static str {
     if matches {
@@ -110,6 +129,15 @@ mod tests {
             widths.windows(2).all(|w| w[0] == w[1]),
             "all lines same width"
         );
+    }
+
+    #[test]
+    fn layer_members_are_json_members() {
+        let members = layer_members("rollup", true);
+        let doc = format!("{{\n{members}  \"end\": 0\n}}");
+        assert!(doc.contains("\"layer\": \"rollup\",\n"));
+        assert!(doc.contains("\"on_verdict_path\": true,\n"));
+        assert!(doc.contains(&format!("\"host_cores\": {},\n", host_cores())));
     }
 
     #[test]

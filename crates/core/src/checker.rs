@@ -14,7 +14,7 @@
 //! verified against the VM once and then tracked — this is what the JVMTI
 //! start-up hook gives the real Jinn for free.)
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -27,6 +27,7 @@ use minijvm::{
     RefKind, ThreadId, DEFAULT_LOCAL_CAPACITY,
 };
 
+use crate::idhash::IdMap;
 use crate::synth::CheckTable;
 
 /// Counters Jinn keeps about its own work (for the overhead experiments).
@@ -136,10 +137,13 @@ struct Frame {
     refs: Vec<LocalKey>,
 }
 
+/// One thread's local-reference encoding. `states` keeps released keys
+/// as `Released` (never removes them), which is what tells a dangling
+/// reference apart from one that was never acquired.
 #[derive(Debug, Default)]
 struct LocalTracker {
     frames: Vec<Frame>,
-    states: HashMap<LocalKey, RefState>,
+    states: IdMap<LocalKey, RefState>,
 }
 
 impl LocalTracker {
@@ -224,21 +228,30 @@ struct PinInfo {
 }
 
 /// The Jinn dynamic checker. Attach with [`install`].
+///
+/// State is keyed by the VM's own small integer ids: local-reference
+/// trackers are indexed densely by thread id, and every other map hashes
+/// its id with the deterministic [`IdMap`] hasher instead of std's
+/// SipHash. Iteration order is never observable: the `vm_death` sweeps
+/// sort before reporting.
 pub struct Jinn {
-    table: CheckTable,
+    /// The synthesized checks: the process-wide table, shared, unless
+    /// `disabled_machines` asks for a filtered copy of its own.
+    table: Cow<'static, CheckTable>,
     /// When false, wrappers are interposed and traversed but the analysis
     /// bodies are skipped — the "Interposing" configuration of Table 3,
     /// which isolates the framework overhead from the checking overhead.
     checks_enabled: bool,
     config: JinnConfig,
     stats: SharedStats,
-    methods: HashMap<MethodId, MethodSnapshot>,
-    fields: HashMap<FieldId, FieldSnapshot>,
-    pins: HashMap<PinId, PinInfo>,
-    criticals: HashMap<ThreadId, Vec<(ObjectId, u32)>>,
-    monitors: HashMap<(ThreadId, ObjectId), u32>,
-    globals: HashMap<GlobalKey, RefState>,
-    locals: HashMap<ThreadId, LocalTracker>,
+    methods: IdMap<MethodId, MethodSnapshot>,
+    fields: IdMap<FieldId, FieldSnapshot>,
+    pins: IdMap<PinId, PinInfo>,
+    criticals: IdMap<ThreadId, Vec<(ObjectId, u32)>>,
+    monitors: IdMap<(ThreadId, ObjectId), u32>,
+    globals: IdMap<GlobalKey, RefState>,
+    /// Indexed by `ThreadId`; grown on a thread's first transition.
+    locals: Vec<LocalTracker>,
     recorder: Recorder,
     labels: ObsLabels,
 }
@@ -305,26 +318,30 @@ impl Jinn {
     }
 
     /// Synthesizes a checker with explicit configuration. The expansion
-    /// itself is memoized process-wide ([`crate::synthesize_cached`]);
-    /// each checker clones the table so ablation can prune its own copy.
+    /// itself is memoized process-wide ([`crate::synthesize_cached`]) and
+    /// shared by every checker; only an ablation (`disabled_machines`)
+    /// builds a pruned copy of its own.
     pub fn with_config(config: JinnConfig) -> Jinn {
-        let mut table = crate::synth::synthesize_cached().0.clone();
-        if !config.disabled_machines.is_empty() {
-            let disabled = config.disabled_machines.clone();
-            table.retain_machines(|m| !disabled.contains(&m));
-        }
+        let shared = crate::synth::synthesize_cached().0;
+        let table = if config.disabled_machines.is_empty() {
+            Cow::Borrowed(shared)
+        } else {
+            let mut own = shared.clone();
+            own.retain_machines(|m| !config.disabled_machines.contains(&m));
+            Cow::Owned(own)
+        };
         Jinn {
             table,
             checks_enabled: true,
             config,
             stats: Arc::new(StatsCell::default()),
-            methods: HashMap::new(),
-            fields: HashMap::new(),
-            pins: HashMap::new(),
-            criticals: HashMap::new(),
-            monitors: HashMap::new(),
-            globals: HashMap::new(),
-            locals: HashMap::new(),
+            methods: IdMap::default(),
+            fields: IdMap::default(),
+            pins: IdMap::default(),
+            criticals: IdMap::default(),
+            monitors: IdMap::default(),
+            globals: IdMap::default(),
+            locals: Vec::new(),
             recorder: Recorder::disabled(),
             labels: ObsLabels::default(),
         }
@@ -400,7 +417,11 @@ impl Jinn {
     // ---- local reference helpers ------------------------------------
 
     fn tracker(&mut self, thread: ThreadId) -> &mut LocalTracker {
-        self.locals.entry(thread).or_default()
+        let i = usize::from(thread.0);
+        if self.locals.len() <= i {
+            self.locals.resize_with(i + 1, LocalTracker::default);
+        }
+        &mut self.locals[i]
     }
 
     /// Checks a use of a local reference; returns an error message on
@@ -643,11 +664,11 @@ impl Jinn {
             }
         }
         // Actual arguments against formals.
-        let actuals = match cx.args.get(args_idx) {
-            Some(JniArg::Args(v)) => v.clone(),
-            _ => Vec::new(),
+        let actuals: &[JValue] = match cx.args.get(args_idx) {
+            Some(JniArg::Args(v)) => v,
+            _ => &[],
         };
-        self.check_args_against_sig(jvm, cx.thread, &snap.sig, &actuals)
+        self.check_args_against_sig(jvm, cx.thread, &snap.sig, actuals)
     }
 
     fn check_field_access(
@@ -1319,8 +1340,12 @@ impl Interpose for Jinn {
         self.stats
             .checks_executed
             .fetch_add(n as u64, Ordering::Relaxed);
-        self.recorder
-            .count_id(self.labels.checks_executed, n as u64);
+        if n > 0 {
+            // A zero delta is invisible in every metrics export; skip
+            // the recorder round-trip for it.
+            self.recorder
+                .count_id(self.labels.checks_executed, n as u64);
+        }
         if !self.checks_enabled {
             return Vec::new();
         }
@@ -1338,8 +1363,10 @@ impl Interpose for Jinn {
         self.stats
             .checks_executed
             .fetch_add(n as u64, Ordering::Relaxed);
-        self.recorder
-            .count_id(self.labels.checks_executed, n as u64);
+        if n > 0 {
+            self.recorder
+                .count_id(self.labels.checks_executed, n as u64);
+        }
         if !self.checks_enabled {
             return Vec::new();
         }
@@ -1402,8 +1429,7 @@ impl Interpose for Jinn {
         let method_name = jvm
             .registry()
             .method(method)
-            .map(|m| m.name.clone())
-            .unwrap_or_else(|| "<native method>".to_string());
+            .map_or("<native method>", |m| m.name.as_str());
 
         // Use of the returned reference (Return:C→Java Use transition).
         if let Some(r) = returned_ref {
@@ -1421,7 +1447,7 @@ impl Interpose for Jinn {
                 reports.push(self.violation(
                     machine,
                     "Error:Dangling",
-                    &method_name,
+                    method_name,
                     format!("{msg} returned from native method {method_name}"),
                     stack,
                 ));
@@ -1446,7 +1472,7 @@ impl Interpose for Jinn {
             reports.push(self.violation(
                 "local-reference",
                 "Error:FrameLeak",
-                &method_name,
+                method_name,
                 format!("{leaked_frames} local frame(s) pushed by {method_name} were never popped"),
                 stack,
             ));
@@ -1459,9 +1485,9 @@ impl Interpose for Jinn {
             return Vec::new();
         }
         let mut reports = Vec::new();
-        // Leak sweeps iterate in sorted entity order: the backing maps
-        // iterate in randomized order per process run, and verdict
-        // sequences must be stable across runs (and across replays).
+        // Leak sweeps iterate in sorted entity order: verdict sequences
+        // must be stable across runs (and across replays) whatever order
+        // the backing maps iterate in.
         let mut leaked_pins: Vec<(&PinId, &PinInfo)> =
             self.pins.iter().filter(|(_, i)| !i.released).collect();
         leaked_pins.sort_unstable_by_key(|(pin, _)| pin.0);

@@ -72,6 +72,7 @@
 
 mod checker;
 pub mod codegen;
+mod idhash;
 mod synth;
 
 pub use checker::{

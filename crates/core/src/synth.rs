@@ -107,11 +107,11 @@ pub fn synthesize() -> (CheckTable, SynthStats) {
 }
 
 /// The memoized synthesis result. Algorithm 1 is a pure function of the
-/// in-tree specifications, so it runs once per process; callers that
-/// need a private table (every [`crate::Jinn`] construction) clone the
-/// cached one instead of re-expanding machines × transitions × triggers.
-/// The fleet-serving daemon constructs one checker per ingested session,
-/// which is what makes the clone-vs-resynthesize difference matter.
+/// in-tree specifications, so it runs once per process. Every
+/// [`crate::Jinn`] borrows this table; only an ablation, which needs a
+/// private pruned table, clones it instead of re-expanding machines ×
+/// transitions × triggers. The fleet-serving daemon constructs one
+/// checker per ingested session, which is what makes sharing matter.
 pub fn synthesize_cached() -> (&'static CheckTable, SynthStats) {
     static CACHE: OnceLock<(CheckTable, SynthStats)> = OnceLock::new();
     let (table, stats) = CACHE.get_or_init(synthesize);

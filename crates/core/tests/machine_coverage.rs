@@ -623,3 +623,48 @@ fn ablation_disables_exactly_the_named_machine() {
     );
     expect_violation(outcome, "local-reference", "Error:Dangling");
 }
+
+// --- report backtraces ---------------------------------------------------------
+
+/// Runs `body` as `cover/Bt.m` called from a Java `Caller.main` frame and
+/// returns the backtrace of the violation it raises.
+fn backtrace_of(body: Body) -> Vec<String> {
+    let mut vm = Vm::permissive();
+    let (_c, entry) = vm.define_native_class("cover/Bt", "m", "()Ljava/lang/String;", true, body);
+    let thread = vm.jvm().main_thread();
+    let mut session = Session::new(vm);
+    install(&mut session);
+    session
+        .env(thread)
+        .enter_java_frame("Caller.main(Caller.java:5)");
+    match session.run_native(thread, entry, &[]) {
+        RunOutcome::CheckerException(v) => v.backtrace,
+        other => panic!("expected a checker exception, got {other:?}"),
+    }
+}
+
+#[test]
+fn every_report_lists_the_native_frame_first() {
+    let innermost_first = ["cover.Bt.m(Native Method)", "Caller.main(Caller.java:5)"];
+    // Pre-call report (a dangling argument to a JNI function).
+    let pre = backtrace_of(Rc::new(|env, _| {
+        let s = typed::new_string_utf(env, "x")?;
+        typed::delete_local_ref(env, s)?;
+        typed::get_string_utf_length(env, s)?;
+        Ok(JValue::NULL)
+    }));
+    assert_eq!(pre, innermost_first);
+    // Native-exit report: returning a deleted local reference.
+    let returned = backtrace_of(Rc::new(|env, _| {
+        let s = typed::new_string_utf(env, "x")?;
+        typed::delete_local_ref(env, s)?;
+        Ok(JValue::Ref(s))
+    }));
+    assert_eq!(returned, innermost_first);
+    // Native-exit report: a pushed frame never popped.
+    let leaked = backtrace_of(Rc::new(|env, _| {
+        typed::push_local_frame(env, 8)?;
+        Ok(JValue::NULL)
+    }));
+    assert_eq!(leaked, innermost_first);
+}

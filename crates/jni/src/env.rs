@@ -128,17 +128,6 @@ impl<'s> JniEnv<'s> {
 
     // ----- call stack (for Figure 9 style reports) -----------------------
 
-    fn stack_snapshot(&self) -> Vec<String> {
-        self.vm
-            .stacks
-            .get(self.thread.0 as usize)
-            .map(|s| {
-                // Innermost frame first, like a Java stack trace.
-                s.iter().rev().cloned().collect()
-            })
-            .unwrap_or_default()
-    }
-
     fn push_stack(&mut self, frame: String) {
         let idx = self.thread.0 as usize;
         if self.vm.stacks.len() <= idx {
@@ -155,7 +144,7 @@ impl<'s> JniEnv<'s> {
 
     /// The current Java-style backtrace, innermost first.
     pub fn backtrace(&self) -> Vec<String> {
-        self.stack_snapshot()
+        self.vm.stack(self.thread).iter().rev().cloned().collect()
     }
 
     /// Pushes a synthetic "Java" frame (harness entry points use this so
@@ -327,17 +316,13 @@ impl<'s> JniEnv<'s> {
                 thread: self.thread,
                 presented_env: self.presented,
                 args: &args,
-                stack: self
-                    .vm
-                    .stacks
-                    .get(self.thread.0 as usize)
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[]),
+                stack: self.vm.stack(self.thread),
             };
-            for i in 0..self.interposers.len() {
-                let name = self.interposers[i].name().to_string();
-                let (jvm, checker) = (&self.vm.jvm, &mut self.interposers[i]);
-                pre_reports.extend(guard_hook(&name, "pre_jni", || checker.pre_jni(jvm, &cx)));
+            let jvm = &self.vm.jvm;
+            for checker in self.interposers.iter_mut() {
+                pre_reports.extend(guard_hook(checker.as_mut(), "pre_jni", |c| {
+                    c.pre_jni(jvm, &cx)
+                }));
             }
         }
         // A throwing checker prevents the wrapped function from running
@@ -364,19 +349,13 @@ impl<'s> JniEnv<'s> {
                 thread: self.thread,
                 presented_env: self.presented,
                 args: &args,
-                stack: self
-                    .vm
-                    .stacks
-                    .get(self.thread.0 as usize)
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[]),
+                stack: self.vm.stack(self.thread),
             };
             let ret = result.as_ref().ok();
-            for i in 0..self.interposers.len() {
-                let name = self.interposers[i].name().to_string();
-                let (jvm, checker) = (&self.vm.jvm, &mut self.interposers[i]);
-                post_reports.extend(guard_hook(&name, "post_jni", || {
-                    checker.post_jni(jvm, &cx, ret)
+            let jvm = &self.vm.jvm;
+            for checker in self.interposers.iter_mut() {
+                post_reports.extend(guard_hook(checker.as_mut(), "post_jni", |c| {
+                    c.post_jni(jvm, &cx, ret)
                 }));
             }
         }
@@ -451,27 +430,27 @@ impl<'s> JniEnv<'s> {
         method: MethodId,
         args: &[JValue],
     ) -> Result<JValue, JniError> {
-        let info = self
-            .vm
-            .jvm
-            .registry()
+        let registry = self.vm.jvm.registry();
+        let info = registry
             .method(method)
-            .unwrap_or_else(|| panic!("call_native_method: unknown method id {method}"))
-            .clone();
+            .unwrap_or_else(|| panic!("call_native_method: unknown method id {method}"));
         let MethodBody::Native(bound) = info.body else {
             panic!("call_native_method: `{}` is not native", info.name);
         };
         let Some(fn_idx) = bound else {
-            self.java_throw(
-                names::RUNTIME_EXCEPTION,
-                &format!("java.lang.UnsatisfiedLinkError: {}", info.name),
-            );
+            let message = format!("java.lang.UnsatisfiedLinkError: {}", info.name);
+            self.java_throw(names::RUNTIME_EXCEPTION, &message);
             let err = Err(JniError::Exception);
             if let Some(tap) = self.vm.tap.clone() {
                 tap.borrow_mut().native_exit(self.thread, method, &err);
             }
             return err;
         };
+        let frame = format!(
+            "{}.{}(Native Method)",
+            registry.class(info.class).dotted_name(),
+            info.name
+        );
 
         self.vm.stats.java_to_c += 1;
         self.boundary_safepoint();
@@ -497,19 +476,19 @@ impl<'s> JniEnv<'s> {
             }
         }
 
-        let class_name = self.vm.jvm.registry().class(info.class).dotted_name();
-        self.push_stack(format!("{}.{}(Native Method)", class_name, info.name));
-        let stack = self.stack_snapshot();
+        self.push_stack(frame);
 
         // Call:Java→C hooks (Acquire transitions for the argument refs).
+        // The stack is the same outermost-first borrow `CallCx` carries.
         let mut reports = Vec::new();
-        for i in 0..self.interposers.len() {
-            let name = self.interposers[i].name().to_string();
-            let (jvm, checker) = (&self.vm.jvm, &mut self.interposers[i]);
-            let thread = self.thread;
-            reports.extend(guard_hook(&name, "native_enter", || {
-                checker.native_enter(jvm, thread, method, &arg_refs, &stack)
-            }));
+        {
+            let (jvm, thread) = (&self.vm.jvm, self.thread);
+            let stack = self.vm.stack(thread);
+            for checker in self.interposers.iter_mut() {
+                reports.extend(guard_hook(checker.as_mut(), "native_enter", |c| {
+                    c.native_enter(jvm, thread, method, &arg_refs, stack)
+                }));
+            }
         }
         if let Err(e) = self.handle_reports(reports) {
             self.pop_stack();
@@ -538,15 +517,15 @@ impl<'s> JniEnv<'s> {
             Ok(JValue::Ref(r)) if !r.is_null() => Some(*r),
             _ => None,
         };
-        let stack = self.stack_snapshot();
         let mut reports = Vec::new();
-        for i in 0..self.interposers.len() {
-            let name = self.interposers[i].name().to_string();
-            let (jvm, checker) = (&self.vm.jvm, &mut self.interposers[i]);
-            let thread = self.thread;
-            reports.extend(guard_hook(&name, "native_exit", || {
-                checker.native_exit(jvm, thread, method, returned_ref, &stack)
-            }));
+        {
+            let (jvm, thread) = (&self.vm.jvm, self.thread);
+            let stack = self.vm.stack(thread);
+            for checker in self.interposers.iter_mut() {
+                reports.extend(guard_hook(checker.as_mut(), "native_exit", |c| {
+                    c.native_exit(jvm, thread, method, returned_ref, stack)
+                }));
+            }
         }
         let hook_result = self.handle_reports(reports);
 
@@ -848,12 +827,16 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
 /// `JniEnv`: the simulated process dies deterministically, with the
 /// panic text as its diagnosis, and the VM's own state stays coherent
 /// (frames are popped and death is latched by the normal report path).
+///
+/// The checker is handed in rather than its name so the common,
+/// non-panicking path allocates nothing: `name()` is asked for only once
+/// a hook has panicked.
 pub(crate) fn guard_hook(
-    checker_name: &str,
+    checker: &mut dyn Interpose,
     site: &'static str,
-    f: impl FnOnce() -> Vec<Report>,
+    hook: impl FnOnce(&mut dyn Interpose) -> Vec<Report>,
 ) -> Vec<Report> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook(&mut *checker))) {
         Ok(reports) => reports,
         Err(payload) => vec![Report {
             violation: Violation {
@@ -861,7 +844,8 @@ pub(crate) fn guard_hook(
                 error_state: "Error:Panic",
                 function: site.to_string(),
                 message: format!(
-                    "checker `{checker_name}` panicked during {site}: {}",
+                    "checker `{}` panicked during {site}: {}",
+                    checker.name(),
                     panic_text(payload.as_ref())
                 ),
                 backtrace: Vec::new(),

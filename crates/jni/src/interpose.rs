@@ -222,7 +222,9 @@ pub trait Interpose {
 
     /// `Call:Java→C` — fired when managed code enters a native method.
     /// `arg_refs` are the reference arguments as local references in the
-    /// callee's fresh frame (the Acquire entities of Figure 3).
+    /// callee's fresh frame (the Acquire entities of Figure 3). `stack`
+    /// is the same borrow [`CallCx::stack`] carries, **outermost frame
+    /// first**, with the native method's own frame last.
     fn native_enter(
         &mut self,
         jvm: &Jvm,
@@ -237,7 +239,9 @@ pub trait Interpose {
 
     /// `Return:C→Java` — fired when a native method returns (after which
     /// its local frame pops). `returned_ref` is the reference the native
-    /// method is returning to Java, if any (a Use transition).
+    /// method is returning to Java, if any (a Use transition). `stack` is
+    /// ordered as for [`Interpose::native_enter`]: outermost first, the
+    /// returning native's frame last.
     fn native_exit(
         &mut self,
         jvm: &Jvm,

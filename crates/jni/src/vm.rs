@@ -165,6 +165,15 @@ impl Vm {
         &self.recorder
     }
 
+    /// `thread`'s Java-style call stack, outermost frame first — the
+    /// borrow every interposition hook receives.
+    pub(crate) fn stack(&self, thread: ThreadId) -> &[String] {
+        self.stacks
+            .get(thread.0 as usize)
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
+    }
+
     /// Configures how much history forensics reports keep.
     pub fn set_forensics_config(&mut self, config: ForensicsConfig) {
         self.forensics_config = config;
@@ -462,9 +471,8 @@ impl Session {
     pub fn shutdown(&mut self) -> Vec<Report> {
         let mut all = Vec::new();
         for checker in &mut self.interposers {
-            let name = checker.name().to_string();
             let jvm = &self.vm.jvm;
-            let reports = crate::env::guard_hook(&name, "vm_death", || checker.vm_death(jvm));
+            let reports = crate::env::guard_hook(checker.as_mut(), "vm_death", |c| c.vm_death(jvm));
             for r in &reports {
                 if r.action == ReportAction::Warn {
                     self.log

@@ -82,11 +82,11 @@ impl Trace {
     /// The set of JNI functions the recorded program actually called —
     /// the trace-derived call-site manifest.
     pub fn called_functions(&self) -> std::collections::BTreeSet<String> {
-        self.events
-            .iter()
-            .filter_map(called_function)
-            .map(str::to_string)
-            .collect()
+        // Dedup on the static names first: one `String` per distinct
+        // function, not one per JNI record.
+        let names: std::collections::BTreeSet<&'static str> =
+            self.events.iter().filter_map(called_function).collect();
+        names.into_iter().map(str::to_string).collect()
     }
 
     /// A human-readable multi-line summary, for the `stats` subcommand.

@@ -16,8 +16,8 @@
 //! * **Ingest pipeline** — [`Daemon`] runs N worker threads over a
 //!   bounded queue. A sealed session is parsed with the hardened trace
 //!   reader and judged: one [`jinn_replay::Replayer`] per config runs
-//!   every top-level activation of the trace ([`judge`]); compiled
-//!   check tables are cloned from a process-wide synthesis cache, and
+//!   every top-level activation of the trace ([`judge`]); every
+//!   checker shares the process-wide synthesized check table, and
 //!   per-machine entity rollups reuse pooled lock-free engines
 //!   ([`jinn_fsm::AtomicEnginePool`]). Corrupt input — frame checksum
 //!   mismatch, truncation, unreadable trace, forged ids — quarantines

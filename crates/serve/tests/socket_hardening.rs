@@ -45,6 +45,16 @@ fn duplicate_open_does_not_transfer_session_ownership() {
     }))
     .expect("append");
     a.flush().expect("flush A");
+    // A and B are served by separate connection threads: B may only
+    // connect once A's Open has registered, or B would open first.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while handle.session_stats(1).is_none() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "A's Open never registered"
+        );
+        std::thread::yield_now();
+    }
 
     // Connection B claims the same id (rejected) and then corrupts.
     let mut b = TcpStream::connect(addr).expect("connect B");
