@@ -170,7 +170,7 @@ impl WorkloadManifest {
     }
 
     /// The callable functions in sorted order — the manifest's stable
-    /// identity, used for pool-cache keying and wire serialization.
+    /// identity, used for wire serialization.
     pub fn functions(&self) -> impl Iterator<Item = &str> {
         self.called.iter().map(String::as_str)
     }

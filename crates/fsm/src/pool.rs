@@ -7,40 +7,29 @@
 //! engine sets, clears them, and hands them to the next session.
 //! [`Engine::clear`] is what makes this sound: a cleared engine is
 //! observationally identical to a freshly built one (the equivalence
-//! proptests in this crate cover both encodings).
-//!
-//! The pool is sharded-agnostic and encoding-agnostic: anything
-//! implementing [`Engine`] can be pooled, and
-//! [`EnginePool::with_builder`] lets a caller construct the engines
-//! itself — the serving daemon uses that to build *specialized* pools
-//! whose engines share pre-compiled discharged transition tables
-//! (`CompiledMachine::compile_discharged`) instead of recompiling per
-//! set.
+//! proptests in this crate cover both encodings). The daemon pools the
+//! lock-free [`AtomicStore`](crate::AtomicStore) ([`AtomicEnginePool`]).
 //!
 //! ## Idle high-water
 //!
-//! Parked sets are capped. By default the cap adapts to observed
-//! concurrency: a lease dropped while `n` leases are still out parks
-//! only if fewer than `n + 1` sets are already idle, so a one-time
-//! burst of N concurrent sessions does not leave N engine sets parked
-//! forever — the surplus is freed as the burst subsides. A fixed cap
-//! can be set with [`EnginePool::set_max_idle`]. Dropped-instead-of-
+//! Parked sets are capped, and the cap adapts to observed concurrency:
+//! a lease dropped while `n` leases are still out parks only if fewer
+//! than `n + 1` sets are already idle, so a one-time burst of N
+//! concurrent sessions does not leave N engine sets parked forever —
+//! the surplus is freed as the burst subsides. Dropped-instead-of-
 //! parked sets are counted in [`PoolStats::dropped`].
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::engine::Engine;
 use crate::machine::MachineSpec;
 
-type BuildFn<E> = Box<dyn Fn(usize, &MachineSpec) -> E + Send + Sync>;
-
 /// A pool of engine *sets*: each lease is one engine per machine, in
 /// the machine order the pool was built with.
 pub struct EnginePool<K, E: Engine<K>> {
     specs: Vec<MachineSpec>,
-    build: BuildFn<E>,
     idle: Mutex<Vec<Vec<E>>>,
     built: AtomicU64,
     leased: AtomicU64,
@@ -51,8 +40,6 @@ pub struct EnginePool<K, E: Engine<K>> {
     /// [`PoolStats::lease_high_water`].
     high_water: AtomicU64,
     dropped: AtomicU64,
-    /// Fixed idle cap; 0 means adaptive (observed concurrency + 1).
-    max_idle: AtomicUsize,
     _key: PhantomData<fn(K)>,
 }
 
@@ -77,35 +64,16 @@ impl<K, E: Engine<K>> EnginePool<K, E> {
     /// A pool whose leases carry one engine per spec, in `specs` order,
     /// each built with [`Engine::for_machine`].
     pub fn new(specs: Vec<MachineSpec>) -> Arc<EnginePool<K, E>> {
-        Self::with_builder(specs, |_, spec| E::for_machine(spec.clone()))
-    }
-
-    /// A pool whose engines are constructed by `build` (called with the
-    /// machine's index and spec on every cache miss). This is how a
-    /// specialized pool shares one pre-compiled discharged table across
-    /// every set it builds, instead of recompiling per lease.
-    pub fn with_builder(
-        specs: Vec<MachineSpec>,
-        build: impl Fn(usize, &MachineSpec) -> E + Send + Sync + 'static,
-    ) -> Arc<EnginePool<K, E>> {
         Arc::new(EnginePool {
             specs,
-            build: Box::new(build),
             idle: Mutex::new(Vec::new()),
             built: AtomicU64::new(0),
             leased: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             high_water: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            max_idle: AtomicUsize::new(0),
             _key: PhantomData,
         })
-    }
-
-    /// Fixes the idle high-water at `cap` parked sets (instead of the
-    /// adaptive observed-concurrency default). `0` restores adaptive.
-    pub fn set_max_idle(&self, cap: usize) {
-        self.max_idle.store(cap, Ordering::Relaxed);
     }
 
     /// The machine specifications each lease tracks.
@@ -125,8 +93,7 @@ impl<K, E: Engine<K>> EnginePool<K, E> {
             self.built.fetch_add(1, Ordering::Relaxed);
             self.specs
                 .iter()
-                .enumerate()
-                .map(|(i, s)| (self.build)(i, s))
+                .map(|s| E::for_machine(s.clone()))
                 .collect()
         });
         EngineLease {
@@ -185,10 +152,7 @@ impl<K, E: Engine<K>> Drop for EngineLease<K, E> {
         // `fetch_sub` returns the pre-decrement value, so `still_out`
         // is the number of leases other holders still have.
         let still_out = self.pool.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
-        let cap = match self.pool.max_idle.load(Ordering::Relaxed) {
-            0 => (still_out as usize).saturating_add(1),
-            fixed => fixed,
-        };
+        let cap = (still_out as usize).saturating_add(1);
         let mut idle = lock(&self.pool.idle);
         if idle.len() < cap {
             idle.push(engines);
@@ -207,12 +171,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The daemon's pool: compiled dense-table engines.
-pub type CompactEnginePool<K> = EnginePool<K, crate::compiled::CompactStore<K>>;
-
-/// A pool of lock-free [`AtomicStore`](crate::AtomicStore) engines —
-/// same compiled dispatch tables as [`CompactEnginePool`], shareable
-/// across worker threads without per-shard mutexes.
+/// The daemon's pool: lock-free [`AtomicStore`](crate::AtomicStore)
+/// engines dispatching through compiled tables.
 pub type AtomicEnginePool<K> = EnginePool<K, crate::atomic::AtomicStore<K>>;
 
 #[cfg(test)]
@@ -239,7 +199,7 @@ mod tests {
 
     #[test]
     fn leases_reuse_cleared_engines() {
-        let pool: Arc<CompactEnginePool<u64>> =
+        let pool: Arc<AtomicEnginePool<u64>> =
             EnginePool::new(vec![toy_machine("a"), toy_machine("b")]);
         {
             let mut lease = pool.lease();
@@ -265,7 +225,7 @@ mod tests {
 
     #[test]
     fn concurrent_leases_build_independent_sets() {
-        let pool: Arc<CompactEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
+        let pool: Arc<AtomicEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
         let l1 = pool.lease();
         let l2 = pool.lease();
         assert_eq!(pool.stats().built, 2);
@@ -282,7 +242,7 @@ mod tests {
     fn idle_high_water_sheds_a_burst() {
         // Satellite regression: a burst of 8 concurrent leases must not
         // park 8 engine sets forever once the burst subsides.
-        let pool: Arc<CompactEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
+        let pool: Arc<AtomicEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
         let leases: Vec<_> = (0..8).map(|_| pool.lease()).collect();
         assert_eq!(pool.stats().built, 8);
         // Drop sequentially: the adaptive cap (in-flight + 1) parks
@@ -300,7 +260,7 @@ mod tests {
 
     #[test]
     fn lease_high_water_tracks_peak_concurrency() {
-        let pool: Arc<CompactEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
+        let pool: Arc<AtomicEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
         assert_eq!(pool.stats().lease_high_water, 0);
         let l1 = pool.lease();
         let l2 = pool.lease();
@@ -315,23 +275,10 @@ mod tests {
     }
 
     #[test]
-    fn fixed_max_idle_overrides_the_adaptive_cap() {
-        let pool: Arc<CompactEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
-        pool.set_max_idle(2);
-        let leases: Vec<_> = (0..8).map(|_| pool.lease()).collect();
-        for lease in leases {
-            drop(lease);
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.idle, 2);
-        assert_eq!(stats.dropped, 6);
-    }
-
-    #[test]
     fn single_lease_cycle_always_reuses() {
         // The adaptive cap must keep at least one parked set when the
         // pool is quiet, or sequential sessions would rebuild per lease.
-        let pool: Arc<CompactEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
+        let pool: Arc<AtomicEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
         for i in 0..10u64 {
             let mut lease = pool.lease();
             let e = lease.by_machine("a").unwrap();
@@ -347,20 +294,8 @@ mod tests {
     }
 
     #[test]
-    fn custom_builder_constructs_the_engines() {
-        let pool: Arc<CompactEnginePool<u64>> =
-            EnginePool::with_builder(vec![toy_machine("a"), toy_machine("b")], |_, spec| {
-                crate::compiled::CompactStore::for_machine(spec.clone())
-            });
-        let mut lease = pool.lease();
-        assert_eq!(lease.len(), 2);
-        assert!(lease.by_machine("b").is_some());
-        assert_eq!(pool.stats().built, 1);
-    }
-
-    #[test]
     fn pool_is_shareable_across_threads() {
-        let pool: Arc<CompactEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
+        let pool: Arc<AtomicEnginePool<u64>> = EnginePool::new(vec![toy_machine("a")]);
         let mut handles = Vec::new();
         for t in 0..4u64 {
             let pool = Arc::clone(&pool);

@@ -1,19 +1,17 @@
-//! Differential property tests: the compiled engine ([`CompactStore`])
-//! and the lock-free engine ([`AtomicStore`]) must agree with the
-//! reference [`StateStore`] outcome-for-outcome on arbitrary machines
-//! and arbitrary event scripts — including `NotApplicable` non-matches,
-//! error entries, unknown transition names, evictions, and the sorted
-//! leak-sweep order. [`DiffStore`] runs both classic engines in
-//! lockstep and panics on any divergence, so simply driving it over
-//! the same scripts is itself an assertion. A separate concurrent
-//! property pins the [`AtomicStore`] under real thread interleavings
-//! against a serialized reference replay.
+//! Differential property tests: the lock-free compiled engine
+//! ([`AtomicStore`]) must agree with the reference [`StateStore`]
+//! outcome-for-outcome on arbitrary machines and arbitrary event
+//! scripts — including `NotApplicable` non-matches, error entries,
+//! unknown transition names, evictions, and the sorted leak-sweep
+//! order, over both slab and spill keys. A separate concurrent property
+//! pins the [`AtomicStore`] under real thread interleavings against a
+//! serialized reference replay.
 
 use std::sync::Arc;
 
 use jinn_fsm::{
-    AtomicStore, CompactStore, ConstraintClass, DiffStore, Direction, Engine, EntityKind,
-    MachineSpec, StateStore, TransitionOutcome, DENSE_LIMIT,
+    AtomicStore, ConstraintClass, Direction, Engine, EntityKind, MachineSpec, StateStore,
+    TransitionOutcome, DENSE_LIMIT,
 };
 use proptest::prelude::*;
 
@@ -67,7 +65,7 @@ enum Op {
 
 /// Decodes raw proptest words into keys and operations. Keys mix the
 /// dense slab range with values past [`DENSE_LIMIT`], so the script
-/// exercises the compiled store's hash-spill path alongside the slab.
+/// exercises the lock-free store's hash-spill path alongside the slab.
 fn decode(words: &[u64], transitions: usize) -> Vec<Op> {
     words
         .iter()
@@ -98,7 +96,7 @@ fn decode(words: &[u64], transitions: usize) -> Vec<Op> {
 
 /// What one engine observed over a whole script — every comparable fact,
 /// so engine disagreement cannot hide in an unchecked channel.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 struct Observed {
     outcomes: Vec<TransitionOutcome>,
     states: Vec<usize>,
@@ -110,14 +108,7 @@ struct Observed {
 
 fn drive<E: Engine<u64>>(machine: MachineSpec, ops: &[Op]) -> Observed {
     let mut engine = E::for_machine(machine);
-    let mut observed = Observed {
-        outcomes: Vec::new(),
-        states: Vec::new(),
-        evictions: Vec::new(),
-        len: 0,
-        leak_sweep: Vec::new(),
-        in_initial: Vec::new(),
-    };
+    let mut observed = Observed::default();
     for op in ops {
         match op {
             Op::Apply(key, t) => {
@@ -151,16 +142,8 @@ proptest! {
         let machine = machine_from(shape);
         let ops = decode(&words, machine.transitions().len());
         let reference = drive::<StateStore<u64>>(machine.clone(), &ops);
-        let compiled = drive::<CompactStore<u64>>(machine.clone(), &ops);
-        prop_assert_eq!(&reference, &compiled);
-        // The lock-free store must match through its Engine face too —
-        // same slab/spill split, CAS instead of locks.
-        let atomic = drive::<AtomicStore<u64>>(machine.clone(), &ops);
+        let atomic = drive::<AtomicStore<u64>>(machine, &ops);
         prop_assert_eq!(&reference, &atomic);
-        // The differential adapter re-checks every step internally (it
-        // panics on divergence) and must land on the same transcript.
-        let differential = drive::<DiffStore<u64>>(machine, &ops);
-        prop_assert_eq!(&reference, &differential);
     }
 
     /// Concurrency equivalence: N threads drive one shared
@@ -217,14 +200,7 @@ proptest! {
                 .map(|(t, ops)| {
                     let store = Arc::clone(&store);
                     scope.spawn(move || {
-                        let mut observed = Observed {
-                            outcomes: Vec::new(),
-                            states: Vec::new(),
-                            evictions: Vec::new(),
-                            len: 0,
-                            leak_sweep: Vec::new(),
-                            in_initial: Vec::new(),
-                        };
+                        let mut observed = Observed::default();
                         let thread = t as u16;
                         for op in ops {
                             match op {
@@ -271,14 +247,7 @@ proptest! {
         let serial: Vec<Observed> = per_thread
             .iter()
             .map(|ops| {
-                let mut observed = Observed {
-                    outcomes: Vec::new(),
-                    states: Vec::new(),
-                    evictions: Vec::new(),
-                    len: 0,
-                    leak_sweep: Vec::new(),
-                    in_initial: Vec::new(),
-                };
+                let mut observed = Observed::default();
                 for op in ops {
                     match op {
                         Op::Apply(key, i) => {
@@ -321,11 +290,14 @@ proptest! {
         key in any::<u64>(),
     ) {
         let machine = machine_from(shape);
-        let mut diff: DiffStore<u64> = DiffStore::new(machine.clone());
+        let mut reference: StateStore<u64> = StateStore::new(machine.clone());
+        let mut atomic: AtomicStore<u64> = AtomicStore::new(machine.clone());
         // t2 from the initial state never applies (its source is S1).
-        let out = diff.apply_named(&key, "t2");
-        prop_assert!(!out.applied());
-        prop_assert_eq!(diff.state_of(&key), machine.initial());
-        prop_assert!(!diff.contains(&key));
+        for engine in [&mut reference as &mut dyn Engine<u64>, &mut atomic] {
+            let out = engine.apply_named(&key, "t2");
+            prop_assert!(!out.applied());
+            prop_assert_eq!(engine.state_of(&key), machine.initial());
+            prop_assert!(!engine.contains(&key));
+        }
     }
 }

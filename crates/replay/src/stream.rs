@@ -159,10 +159,10 @@ pub enum Frame {
         reason: String,
     },
     /// Declares a tenant's call-site manifest: the JNI functions its
-    /// native code can call. The daemon compiles a specialized engine
-    /// pool with the provably-dead transitions discharged and serves
-    /// the tenant's subsequent sessions from it. Tenant-scoped, not
-    /// session-scoped; a repeat declaration replaces the previous one.
+    /// native code can call. The daemon acks with the static-discharge
+    /// report for the set and flags each later session of the tenant as
+    /// covered by it or not. Tenant-scoped, not session-scoped; a repeat
+    /// declaration replaces the previous one.
     Manifest {
         /// The tenant the manifest belongs to.
         tenant: String,

@@ -2,14 +2,13 @@
 //! with a randomly seeded bug, (1) recording is byte-identical across
 //! runs, (2) replaying one trace twice produces byte-identical verdict
 //! sequences across the standard configurations, and (3) the reference
-//! and compiled dispatch engines serialize byte-identical observability
+//! and lock-free dispatch engines serialize byte-identical observability
 //! traces for identical scripts.
 
 use std::rc::Rc;
 
 use jinn_fsm::{
-    AtomicStore, CompactStore, ConstraintClass, DiffStore, Direction, Engine, EntityKind,
-    MachineSpec, StateStore,
+    AtomicStore, ConstraintClass, Direction, Engine, EntityKind, MachineSpec, StateStore,
 };
 use jinn_obs::{EventKind, Recorder};
 use jinn_replay::{record_program, replay_bytes, standard_configs, Program, Trace, TraceWriter};
@@ -254,13 +253,50 @@ fn engine_machine() -> MachineSpec {
         .expect("static spec")
 }
 
-/// Drives a decoded script through `E` with an enabled recorder and
-/// serializes every recorded event — seq, thread, and rendered kind, no
+/// Serializes every recorded event — seq and rendered kind, no
 /// wall-clock timestamps — through a [`TraceWriter`]. The recorder's
 /// events carry wall-clock micros; only the deterministic fields go into
 /// the bytes (matching the `.jtrace` format's philosophy of recording
-/// logical order, not time), so identical scripts must produce identical
-/// bytes whichever engine ran them.
+/// logical order, not time).
+///
+/// Two encoding details are canonical here so the engines can be
+/// compared byte for byte. The lock-free store tags slab entities by
+/// number (`entity#<hex>`) instead of interning their `Debug` text, so
+/// those tags are written as the decimal key the reference store
+/// records. And the reference store is thread-less while the lock-free
+/// store's `Engine` face runs as thread 0, so the thread column is not
+/// written; thread attribution has its own tests.
+fn serialize_events(recorder: &Recorder) -> Vec<u8> {
+    let mut writer = TraceWriter::new();
+    for event in recorder.events() {
+        let rendered = match &event.kind {
+            EventKind::FsmTransition {
+                machine,
+                transition,
+                outcome,
+                entity,
+            } => match entity {
+                Some(e) => {
+                    let entity = match e.0.strip_prefix("entity#") {
+                        Some(hex) => u64::from_str_radix(hex, 16)
+                            .expect("keyed entity tags are hex")
+                            .to_string(),
+                        None => e.to_string(),
+                    };
+                    format!("fsm {machine}.{transition} [{outcome}] entity={entity}")
+                }
+                None => format!("fsm {machine}.{transition} [{outcome}]"),
+            },
+            other => format!("{other:?}"),
+        };
+        writer.obs_event(0, &format!("#{} {rendered}", event.seq));
+    }
+    writer.finish()
+}
+
+/// Drives a decoded script through `E` with an enabled recorder and
+/// serializes what it recorded ([`serialize_events`]), so identical
+/// scripts must produce identical bytes whichever engine ran them.
 fn engine_trace<E: Engine<u64>>(words: &[u64]) -> Vec<u8> {
     let recorder = Recorder::enabled(1 << 12);
     let mut engine = E::for_machine(engine_machine());
@@ -288,56 +324,32 @@ fn engine_trace<E: Engine<u64>>(words: &[u64]) -> Vec<u8> {
             }
         }
     }
-    let mut writer = TraceWriter::new();
-    for event in recorder.events() {
-        let rendered = match &event.kind {
-            EventKind::FsmTransition {
-                machine,
-                transition,
-                outcome,
-                entity,
-            } => match entity {
-                Some(e) => format!("fsm {machine}.{transition} [{outcome}] entity={e}"),
-                None => format!("fsm {machine}.{transition} [{outcome}]"),
-            },
-            other => format!("{other:?}"),
-        };
-        writer.obs_event(event.thread, &format!("#{} {rendered}", event.seq));
-    }
-    writer.finish()
+    serialize_events(&recorder)
 }
 
-/// Identical scripts through the reference, compiled, and differential
-/// engines must serialize byte-identical observability traces — label
-/// interning and prototype cloning may not change what is recorded.
+/// Identical scripts through the reference and lock-free engines must
+/// serialize byte-identical observability traces — label interning,
+/// dense entity keys and prototype cloning may not change what is
+/// recorded — and each engine's bytes are reproducible run to run.
 #[test]
 fn engines_serialize_identical_traces_for_a_scripted_run() {
     let words: Vec<u64> = (0..200u64)
         .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
         .collect();
     let reference = engine_trace::<StateStore<u64>>(&words);
-    let compiled = engine_trace::<CompactStore<u64>>(&words);
-    let differential = engine_trace::<DiffStore<u64>>(&words);
+    let atomic = engine_trace::<AtomicStore<u64>>(&words);
     assert!(!reference.is_empty());
-    assert_eq!(reference, compiled, "reference vs compiled trace bytes");
+    assert_eq!(reference, atomic, "reference vs lock-free trace bytes");
     assert_eq!(
-        reference, differential,
-        "reference vs differential trace bytes"
+        atomic,
+        engine_trace::<AtomicStore<u64>>(&words),
+        "lock-free trace bytes are reproducible"
     );
-    // The lock-free store records *more* than the thread-less reference
-    // (owner thread, dense entity labels), so its bytes differ by
-    // design; what must hold is that two runs of the same script are
-    // byte-identical — interning order and slab layout may not inject
-    // nondeterminism.
-    let atomic_a = engine_trace::<AtomicStore<u64>>(&words);
-    let atomic_b = engine_trace::<AtomicStore<u64>>(&words);
-    assert!(!atomic_a.is_empty());
-    assert_eq!(atomic_a, atomic_b, "lock-free trace bytes are reproducible");
 }
 
-/// Like [`engine_trace`] but through the lock-free store's sharded API,
-/// with an epoch participant pinning between ops and quiescing for a
-/// leak sweep every 16 ops — the parallel checker's actual shape.
+/// Like [`engine_trace`] but through the lock-free store's concurrent
+/// API, with an epoch participant pinning between ops and quiescing for
+/// a leak sweep every 16 ops — the parallel checker's actual shape.
 fn atomic_trace_with_epoch_sweeps(words: &[u64]) -> Vec<u8> {
     let recorder = Recorder::enabled(1 << 12);
     let mut store: AtomicStore<u64> = AtomicStore::new(engine_machine());
@@ -375,23 +387,7 @@ fn atomic_trace_with_epoch_sweeps(words: &[u64]) -> Vec<u8> {
         }
     }
     assert!(epochs.sweeps() > 0 || words.len() < 16);
-    let mut writer = TraceWriter::new();
-    for event in recorder.events() {
-        let rendered = match &event.kind {
-            EventKind::FsmTransition {
-                machine,
-                transition,
-                outcome,
-                entity,
-            } => match entity {
-                Some(e) => format!("fsm {machine}.{transition} [{outcome}] entity={e}"),
-                None => format!("fsm {machine}.{transition} [{outcome}]"),
-            },
-            other => format!("{other:?}"),
-        };
-        writer.obs_event(event.thread, &format!("#{} {rendered}", event.seq));
-    }
-    writer.finish()
+    serialize_events(&recorder)
 }
 
 /// Epoch-based sweeps are trace-invisible: a run that pins every op and
@@ -410,6 +406,11 @@ fn epoch_sweeps_leave_trace_bytes_identical() {
     assert!(!with_sweeps.is_empty());
     assert_eq!(with_sweeps, without, "sweeps must not perturb the trace");
     assert_eq!(with_sweeps, again, "swept runs are reproducible");
+    assert_eq!(
+        with_sweeps,
+        engine_trace::<StateStore<u64>>(&words),
+        "swept lock-free run vs reference trace bytes"
+    );
 }
 
 proptest! {
@@ -421,8 +422,8 @@ proptest! {
         words in proptest::collection::vec(any::<u64>(), 0..120),
     ) {
         let reference = engine_trace::<StateStore<u64>>(&words);
-        let compiled = engine_trace::<CompactStore<u64>>(&words);
-        prop_assert_eq!(reference, compiled);
+        let atomic = engine_trace::<AtomicStore<u64>>(&words);
+        prop_assert_eq!(reference, atomic);
     }
 
     /// Recording a random correct program with a seeded bug twice yields

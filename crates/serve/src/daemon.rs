@@ -53,7 +53,7 @@ pub struct ServeConfig {
     pub recorder_ring: usize,
     /// Sessions after which a tenant with no declared manifest gets one
     /// *learned* from the union of its traces' call-site sets. `0`
-    /// disables learning: only declared manifests specialize.
+    /// disables learning: only declared manifests are audited.
     pub learn_after_sessions: u64,
     /// Sessions judged *incrementally* at once: each streaming session
     /// holds an executor thread from its first event record to `Seal`,
@@ -264,11 +264,11 @@ fn worker_loop(shared: &Arc<Shared>) {
                     stream.discard(); // quarantined while queued
                     continue;
                 };
-                let specialized = shared.registry.specialized_for(&tenant);
+                let manifest = shared.registry.manifest_for(&tenant);
                 let judged = stream.collect(
                     &tenant,
                     &shared.pool,
-                    specialized.as_deref(),
+                    manifest.as_deref(),
                     shared.config.max_events_per_session,
                 );
                 (tenant, judged)
@@ -277,14 +277,14 @@ fn worker_loop(shared: &Arc<Shared>) {
                 let Some((bytes, tenant, configs)) = shared.table.begin_judging(id) else {
                     continue; // quarantined while queued
                 };
-                let specialized = shared.registry.specialized_for(&tenant);
+                let manifest = shared.registry.manifest_for(&tenant);
                 let judged = judge(
                     &bytes,
                     id,
                     &tenant,
                     &configs,
                     &shared.pool,
-                    specialized.as_deref(),
+                    manifest.as_deref(),
                     shared.config.recorder_ring,
                     shared.config.max_events_per_session,
                 );
@@ -475,9 +475,9 @@ impl DaemonHandle {
     }
 
     /// Declares (or replaces) `tenant`'s workload manifest: runs the
-    /// static-discharge pass for the declared call-site set, compiles
-    /// (or finds, for an identical function set) a specialized engine
-    /// pool, and routes the tenant's future sessions through it.
+    /// static-discharge pass for the declared call-site set and judges
+    /// the tenant's future sessions against it (an audit: each session
+    /// is flagged covered or fallback; verdicts never change).
     /// Function names unknown to the JNI registry are kept callable and
     /// reported in the summary — a misspelled manifest weakens
     /// discharge, it does not fail.

@@ -25,7 +25,6 @@ use jinn_replay::{
     activations, Activation, ReplayConfig, ReplayOutcome, Replayer, Trace, TraceError,
 };
 
-use crate::manifest::SpecializedPool;
 use crate::session::{
     DischargeStats, EventSummary, MachineRollup, ObsCounters, OutcomeRec, SessionId, VerdictRec,
 };
@@ -42,9 +41,13 @@ pub struct JudgeOutput {
     /// Event summaries from the first config's recorder (newest
     /// `max_events`).
     pub events: Vec<EventSummary>,
-    /// Re-judged events beyond the summary cap.
-    pub events_dropped: u64,
-    /// Per-machine rollups from the pooled engines.
+    /// Events the recorder ring overwrote before the judge read it: the
+    /// rollups and summaries never saw them.
+    pub ring_overwritten: u64,
+    /// Events the ring kept that did not fit the summary cap.
+    pub summaries_truncated: u64,
+    /// Per-machine rollups from the pooled engines, over the events the
+    /// ring kept (complete only when `ring_overwritten` is 0).
     pub rollups: Vec<MachineRollup>,
     /// Recorder coverage of the *recorded* trace (its `obs.*` meta).
     pub obs: ObsCounters,
@@ -56,10 +59,9 @@ pub struct JudgeOutput {
     pub divergences: u64,
     /// The trace's own call-site set (drives manifest learning).
     pub called_functions: BTreeSet<String>,
-    /// Whether the rollups ran on a manifest-specialized pool.
-    pub specialized: bool,
-    /// Whether a manifested tenant's trace called outside its manifest
-    /// and was re-judged on the full pool instead.
+    /// Whether the tenant's manifest covers the trace's call-site set.
+    pub manifest_covered: bool,
+    /// Whether a manifested tenant's trace called outside its manifest.
     pub discharge_fallback: bool,
 }
 
@@ -93,8 +95,8 @@ fn transition_aliases(name: &str) -> &'static [&'static str] {
 /// The static-discharge audit row for one trace, shared by the
 /// buffered and streaming judges. Takes the trace's call-site set
 /// precomputed so callers that already hold one (the buffered judge
-/// computes it for pool selection; the streaming judge accumulates it
-/// incrementally during ingest) never walk the events again at seal.
+/// computes it for the manifest check; the streaming judge accumulates
+/// it incrementally during ingest) never walk the events again at seal.
 pub(crate) fn discharge_stats(program: &str, called: &BTreeSet<String>) -> DischargeStats {
     let manifest = jinn_core::WorkloadManifest::new(program, called.iter().map(String::as_str));
     let report = jinn_core::discharge(&jinn_spec::machines(), &manifest);
@@ -163,8 +165,8 @@ pub(crate) fn summarize(session: SessionId, ev: &TraceEvent) -> EventSummary {
 /// Re-applies the session's transition stream through pooled compiled
 /// engines, producing one rollup per machine that saw traffic.
 ///
-/// Re-exported at the crate root so the discharge benchmark can drive
-/// the daemon's exact rollup path against an arbitrary pool.
+/// Re-exported at the crate root so a benchmark can time the daemon's
+/// exact rollup path.
 ///
 /// Entity keys are dense *per machine*: each engine sees keys `0..n`
 /// for its own entities, so a store's slab growth tracks the machine's
@@ -251,10 +253,9 @@ pub(crate) struct Filing<'a> {
     pub(crate) session: SessionId,
     pub(crate) tenant: &'a str,
     pub(crate) pool: &'a Arc<AtomicEnginePool<u64>>,
-    /// The tenant's manifest pool: rollups run there when it covers the
-    /// trace's call-site set; otherwise on `pool`, flagged as a
-    /// discharge fallback. Verdicts come from the replay either way.
-    pub(crate) specialized: Option<&'a SpecializedPool>,
+    /// The tenant's manifest: the session is flagged covered when it
+    /// holds the trace's call-site set, a discharge fallback otherwise.
+    pub(crate) manifest: Option<&'a BTreeSet<String>>,
     pub(crate) max_events: usize,
 }
 
@@ -371,13 +372,9 @@ impl Judged {
         filing: &Filing<'_>,
     ) -> JudgeOutput {
         let session = filing.session;
-        let (rollup_pool, specialized, discharge_fallback) = match filing.specialized {
-            Some(sp) if sp.covers(&called_functions) => (sp.pool(), true, false),
-            Some(_) => (filing.pool, false, true),
-            None => (filing.pool, false, false),
-        };
+        let covered = filing.manifest.map(|m| called_functions.is_subset(m));
         let all = self.recorder.events();
-        let rollups = rollup_events(rollup_pool, &all);
+        let rollups = rollup_events(filing.pool, &all);
         let skip = all.len().saturating_sub(filing.max_events);
         let events = all
             .iter()
@@ -412,13 +409,14 @@ impl Judged {
             outcomes,
             verdicts,
             events,
-            events_dropped: self.recorder.dropped_events() + skip as u64,
+            ring_overwritten: self.recorder.dropped_events(),
+            summaries_truncated: skip as u64,
             rollups,
             obs: obs_counters(trace),
             discharge: discharge_stats(trace.program(), &called_functions),
             called_functions,
-            specialized,
-            discharge_fallback,
+            manifest_covered: covered == Some(true),
+            discharge_fallback: covered == Some(false),
         }
     }
 }
@@ -426,11 +424,11 @@ impl Judged {
 /// Parses and re-judges one sealed session: the [`Judge`] fed every
 /// activation at once.
 ///
-/// When the tenant has a manifest, `specialized` carries its pool: a
-/// trace whose own call-site set the manifest covers rolls up there;
-/// one that calls outside it falls back to the full `pool` and is
-/// flagged (`JudgeOutput::discharge_fallback`). Verdicts come from the
-/// replay either way — the pool choice never affects them.
+/// When the tenant has a manifest, `manifest` carries its function set:
+/// a trace whose own call-site set it covers is flagged
+/// `JudgeOutput::manifest_covered`, one that calls outside it
+/// `JudgeOutput::discharge_fallback`. Verdicts and rollups are the same
+/// either way — the manifest is an audit.
 ///
 /// # Errors
 ///
@@ -443,7 +441,7 @@ pub fn judge(
     tenant: &str,
     configs: &[ReplayConfig],
     pool: &Arc<AtomicEnginePool<u64>>,
-    specialized: Option<&SpecializedPool>,
+    manifest: Option<&BTreeSet<String>>,
     recorder_ring: usize,
     max_events: usize,
 ) -> Result<JudgeOutput, String> {
@@ -455,7 +453,7 @@ pub fn judge(
         session,
         tenant,
         pool,
-        specialized,
+        manifest,
         max_events,
     };
     Ok(judged.output(&trace, trace.called_functions(), &filing))
@@ -478,7 +476,7 @@ mod tests {
         let configs = vec![ReplayConfig::parse("jinn").unwrap()];
         let out = judge(&bytes, 9, "acme", &configs, &pool, None, 4096, 256).expect("judge");
         assert_eq!(out.program, "LocalRefDangling");
-        assert!(!out.specialized && !out.discharge_fallback);
+        assert!(!out.manifest_covered && !out.discharge_fallback);
         assert!(
             !out.called_functions.is_empty(),
             "trace call-site set captured"
@@ -508,10 +506,9 @@ mod tests {
         let full = judge(&bytes, 1, "t", &configs, &pool, None, 4096, 10_000).expect("judge");
         let capped = judge(&bytes, 1, "t", &configs, &pool, None, 4096, 4).expect("judge");
         assert_eq!(capped.events.len(), 4);
-        assert_eq!(
-            capped.events_dropped,
-            full.events.len() as u64 - 4 + full.events_dropped
-        );
+        assert_eq!(full.summaries_truncated, 0);
+        assert_eq!(capped.summaries_truncated, full.events.len() as u64 - 4);
+        assert_eq!(capped.ring_overwritten, full.ring_overwritten);
         // The kept summaries are the newest ones.
         let tail: Vec<u64> = full.events[full.events.len() - 4..]
             .iter()
@@ -597,49 +594,33 @@ mod tests {
     }
 
     #[test]
-    fn covering_manifest_specializes_and_lying_manifest_falls_back() {
+    fn covering_manifest_is_flagged_and_lying_manifest_falls_back() {
         let bytes = corpus_trace("LocalRefDangling");
         let pool = EnginePool::new(jinn_spec::machines());
         let configs = vec![ReplayConfig::parse("jinn").unwrap()];
         let baseline = judge(&bytes, 1, "t", &configs, &pool, None, 4096, 256).expect("judge");
 
-        let honest = SpecializedPool::for_functions(
-            "honest",
-            baseline.called_functions.iter().map(String::as_str),
-        );
-        let fast = judge(&bytes, 2, "t", &configs, &pool, Some(&honest), 4096, 256).expect("judge");
-        assert!(fast.specialized && !fast.discharge_fallback);
+        let honest = baseline.called_functions.clone();
+        let covered = judge(&bytes, 2, "t", &configs, &pool, Some(&honest), 4096, 256);
+        let covered = covered.expect("judge");
+        assert!(covered.manifest_covered && !covered.discharge_fallback);
 
-        let lying = SpecializedPool::for_functions("lying", ["GetVersion"]);
-        let slow = judge(&bytes, 3, "t", &configs, &pool, Some(&lying), 4096, 256).expect("judge");
-        assert!(!slow.specialized && slow.discharge_fallback);
+        let lying: BTreeSet<String> = ["GetVersion".to_string()].into();
+        let fallback = judge(&bytes, 3, "t", &configs, &pool, Some(&lying), 4096, 256);
+        let fallback = fallback.expect("judge");
+        assert!(!fallback.manifest_covered && fallback.discharge_fallback);
 
-        // The pool choice never affects verdicts.
+        // The manifest never affects verdicts or rollups.
         let key = |o: &JudgeOutput| {
             let mut v: Vec<(String, String, String)> = o
                 .verdicts
                 .iter()
-                .map(|v| {
-                    (
-                        v.config.to_string(),
-                        v.machine.clone(),
-                        v.error_state.clone(),
-                    )
-                })
+                .map(|v| (v.config.clone(), v.machine.clone(), v.error_state.clone()))
                 .collect();
             v.sort();
-            v
+            (v, o.rollups.clone())
         };
-        assert_eq!(key(&baseline), key(&fast));
-        assert_eq!(key(&baseline), key(&slow));
-        // And the specialized rollups agree with the full pool's on the
-        // machines both carry.
-        for r in &fast.rollups {
-            let base = baseline.rollups.iter().find(|b| b.machine == r.machine);
-            let base = base.expect("machine present in baseline");
-            assert_eq!((r.transitions, r.entities, r.errors), {
-                (base.transitions, base.entities, base.errors)
-            });
-        }
+        assert_eq!(key(&baseline), key(&covered));
+        assert_eq!(key(&baseline), key(&fallback));
     }
 }

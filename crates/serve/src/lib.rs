@@ -39,17 +39,16 @@
 //!   activation, and rolls up. A buffered session is the same judge fed
 //!   every activation at once; nothing is published before the seal
 //!   verifies (`streaming` module docs, DESIGN.md §16).
-//! * **Workload-adaptive discharge** — a tenant can declare its
-//!   call-site manifest (the `Manifest` frame /
+//! * **Workload manifests** — a tenant can declare its call-site
+//!   manifest (the `Manifest` frame /
 //!   [`DaemonHandle::declare_manifest`]), or the daemon can learn one
 //!   from the tenant's first sessions
-//!   ([`ServeConfig::learn_after_sessions`]). Manifested tenants roll up
-//!   through manifest-keyed *specialized* engine pools with provably-dead
-//!   transitions compiled out and inactive machines carrying no engines
-//!   at all; a trace that calls outside its manifest soundly falls back
-//!   to the full pool and is flagged
-//!   ([`SessionStats`] `discharge_fallback`). See the [`manifest`
-//!   module](crate::SpecializedPool) docs.
+//!   ([`ServeConfig::learn_after_sessions`]). The declaration's ack is
+//!   the static-discharge report for the function set. A manifest is an
+//!   audit: each session of a manifested tenant is flagged
+//!   `manifest_covered` or, when the trace calls outside the manifest,
+//!   `discharge_fallback` ([`SessionStats`]); verdicts and rollups never
+//!   depend on it (`manifest` module docs).
 //! * **Query API** — [`DaemonHandle::query`] filters by session,
 //!   tenant, config, function, machine, entity, thread, and event-index
 //!   range, with cursor pagination; [`SocketServer`] exposes the same
@@ -99,7 +98,7 @@ mod streaming;
 pub use daemon::{Daemon, DaemonHandle, ServeConfig, AUTO_SESSION_BASE};
 pub use error::ServeError;
 pub use judge::{judge, obs_counters, rollup_events, JudgeOutput};
-pub use manifest::{ManifestRegistryStats, ManifestSource, ManifestSummary, SpecializedPool};
+pub use manifest::{ManifestRegistryStats, ManifestSource, ManifestSummary};
 pub use session::{
     DischargeStats, EventSummary, MachineRollup, ObsCounters, OutcomeRec, SessionId, SessionState,
     SessionStats, VerdictRec,

@@ -136,17 +136,22 @@ pub struct SessionStats {
     pub verdicts: u64,
     /// Event-summary rows currently held for the session.
     pub summaries: u64,
-    /// Re-judged events that did not fit the per-session summary cap.
-    pub summaries_dropped: u64,
+    /// Re-judged events the recorder ring overwrote before the judge
+    /// read it: neither rollups nor summaries saw them.
+    pub ring_overwritten: u64,
+    /// Re-judged events the ring kept that did not fit the per-session
+    /// summary cap.
+    pub summaries_truncated: u64,
+    /// Whether the rollups cover every re-judged event
+    /// (`ring_overwritten == 0`).
+    pub rollups_complete: bool,
     /// Recorder coverage of the *recorded* trace (see [`ObsCounters`]).
     pub obs: ObsCounters,
     /// The static-discharge audit, once judged (see [`DischargeStats`]).
     pub discharge: Option<DischargeStats>,
-    /// Whether the session's rollups ran on its tenant's
-    /// manifest-specialized pool.
-    pub specialized: bool,
-    /// Whether the trace called outside its tenant's manifest and was
-    /// re-judged on the full pool instead.
+    /// Whether the tenant's manifest covers the trace's call-site set.
+    pub manifest_covered: bool,
+    /// Whether the trace called outside its tenant's manifest.
     pub discharge_fallback: bool,
     /// Why the session was quarantined or aborted, if it was.
     pub reason: Option<String>,
@@ -179,7 +184,9 @@ impl SessionStats {
             .num("divergences", self.divergences)
             .num("verdicts", self.verdicts)
             .num("summaries", self.summaries)
-            .num("summaries_dropped", self.summaries_dropped)
+            .num("ring_overwritten", self.ring_overwritten)
+            .num("summaries_truncated", self.summaries_truncated)
+            .bool("rollups_complete", self.rollups_complete)
             .raw("obs", self.obs.to_json())
             .raw(
                 "discharge",
@@ -187,7 +194,7 @@ impl SessionStats {
                     .as_ref()
                     .map_or_else(|| "null".to_string(), DischargeStats::to_json),
             )
-            .bool("specialized", self.specialized)
+            .bool("manifest_covered", self.manifest_covered)
             .bool("discharge_fallback", self.discharge_fallback)
             .opt_str("reason", self.reason.as_deref())
             .bool("history_purged", self.history_purged)

@@ -244,7 +244,7 @@ fn handle_request(line: &str, handle: &DaemonHandle) -> String {
                 .num("purged_sessions", f.purged_sessions)
                 .num("total_verdicts", f.total_verdicts)
                 .num("total_events_replayed", f.total_events_replayed)
-                .num("specialized_sessions", f.specialized_sessions)
+                .num("covered_sessions", f.covered_sessions)
                 .num("fallback_sessions", f.fallback_sessions)
                 .num("streamed_sessions", f.streamed_sessions)
                 .num("buffered_bytes_high_water", f.buffered_bytes_high_water)
@@ -253,7 +253,6 @@ fn handle_request(line: &str, handle: &DaemonHandle) -> String {
                 .num("pool_lease_high_water", p.lease_high_water)
                 .num("manifested_tenants", m.manifested_tenants)
                 .num("learning_tenants", m.learning_tenants)
-                .num("specialized_pools", m.specialized_pools)
                 .build()
         }
         "stats" => match get_u64(&req, "session").and_then(|id| handle.session_stats(id)) {

@@ -164,10 +164,9 @@ pub struct FleetStats {
     pub total_verdicts: u64,
     /// JNI calls re-issued across all judged sessions.
     pub total_events_replayed: u64,
-    /// Sessions whose rollups ran on a manifest-specialized pool.
-    pub specialized_sessions: u64,
-    /// Sessions of manifested tenants that called outside the manifest
-    /// and fell back to the full pool.
+    /// Sessions of manifested tenants whose manifest covered the trace.
+    pub covered_sessions: u64,
+    /// Sessions of manifested tenants that called outside the manifest.
     pub fallback_sessions: u64,
     /// Sessions judged incrementally by a streaming judge.
     pub streamed_sessions: u64,
@@ -196,7 +195,7 @@ struct Session {
     program: Option<String>,
     obs: ObsCounters,
     discharge: Option<DischargeStats>,
-    specialized: bool,
+    manifest_covered: bool,
     discharge_fallback: bool,
     reason: Option<String>,
     history: Option<History>,
@@ -213,7 +212,8 @@ struct Session {
     stream_charged: u64,
     events_replayed: u64,
     divergences: u64,
-    summaries_dropped: u64,
+    ring_overwritten: u64,
+    summaries_truncated: u64,
     bytes_received: u64,
 }
 
@@ -299,7 +299,7 @@ impl SessionTable {
                 program: None,
                 obs: ObsCounters::default(),
                 discharge: None,
-                specialized: false,
+                manifest_covered: false,
                 discharge_fallback: false,
                 reason: None,
                 history: None,
@@ -312,7 +312,8 @@ impl SessionTable {
                 stream_charged: 0,
                 events_replayed: 0,
                 divergences: 0,
-                summaries_dropped: 0,
+                ring_overwritten: 0,
+                summaries_truncated: 0,
                 bytes_received: 0,
             },
         );
@@ -645,7 +646,7 @@ impl SessionTable {
         t.fleet.total_verdicts += verdicts.len() as u64;
         t.fleet.total_events_replayed += out.events_replayed;
         t.fleet.judged += 1;
-        t.fleet.specialized_sessions += u64::from(out.specialized);
+        t.fleet.covered_sessions += u64::from(out.manifest_covered);
         t.fleet.fallback_sessions += u64::from(out.discharge_fallback);
         t.fleet.streamed_sessions += u64::from(t.sessions.get(&id).is_some_and(|s| s.streamed));
         t.history_bytes += bytes;
@@ -655,11 +656,12 @@ impl SessionTable {
             s.program = Some(out.program);
             s.obs = out.obs;
             s.discharge = Some(out.discharge);
-            s.specialized = out.specialized;
+            s.manifest_covered = out.manifest_covered;
             s.discharge_fallback = out.discharge_fallback;
             s.events_replayed = out.events_replayed;
             s.divergences = out.divergences;
-            s.summaries_dropped = out.events_dropped;
+            s.ring_overwritten = out.ring_overwritten;
+            s.summaries_truncated = out.summaries_truncated;
             s.seal_to_verdict_micros = s
                 .sealed_at
                 .map(|at| at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
@@ -761,10 +763,12 @@ impl SessionTable {
             divergences: s.divergences,
             verdicts,
             summaries,
-            summaries_dropped: s.summaries_dropped,
+            ring_overwritten: s.ring_overwritten,
+            summaries_truncated: s.summaries_truncated,
+            rollups_complete: s.ring_overwritten == 0,
             obs: s.obs,
             discharge: s.discharge.clone(),
-            specialized: s.specialized,
+            manifest_covered: s.manifest_covered,
             discharge_fallback: s.discharge_fallback,
             reason: s.reason.clone(),
             history_purged: s.history_purged,

@@ -49,7 +49,6 @@ use jinn_replay::{
 };
 
 use crate::judge::{guarded, panicked, Filing, Judge, JudgeOutput, Judged};
-use crate::manifest::SpecializedPool;
 use crate::session::SessionId;
 
 /// A top-level activation for the executor, or the fold error that
@@ -70,8 +69,8 @@ struct StreamInner {
     decoder: StreamDecoder,
     setup: TraceBuilder,
     fold: ActivationFold,
-    /// The call-site set, accumulated record by record so seal-time pool
-    /// selection never walks the events.
+    /// The call-site set, accumulated record by record so the seal-time
+    /// manifest check never walks the events.
     called: BTreeSet<String>,
     /// The executor's inbox; dropped to end the feed.
     feed: Option<Sender<Feed>>,
@@ -217,7 +216,7 @@ impl StreamingSession {
         &self,
         tenant: &str,
         pool: &Arc<AtomicEnginePool<u64>>,
-        specialized: Option<&SpecializedPool>,
+        manifest: Option<&BTreeSet<String>>,
         max_events: usize,
     ) -> Result<JudgeOutput, String> {
         let mut g = self.lock();
@@ -240,7 +239,7 @@ impl StreamingSession {
             session: self.session,
             tenant,
             pool,
-            specialized,
+            manifest,
             max_events,
         };
         let called = std::mem::take(&mut g.called);

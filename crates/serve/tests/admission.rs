@@ -25,14 +25,15 @@ fn dummy_output() -> JudgeOutput {
         outcomes: Vec::new(),
         verdicts: Vec::new(),
         events: Vec::new(),
-        events_dropped: 0,
+        ring_overwritten: 0,
+        summaries_truncated: 0,
         rollups: Vec::new(),
         obs: ObsCounters::default(),
         discharge: DischargeStats::default(),
         events_replayed: 1,
         divergences: 0,
         called_functions: Default::default(),
-        specialized: false,
+        manifest_covered: false,
         discharge_fallback: false,
     }
 }

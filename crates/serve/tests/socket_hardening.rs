@@ -123,7 +123,7 @@ fn query_thread_filter_rejects_out_of_range_values() {
 /// The full manifest round trip over one ingest connection: a
 /// declaration with a misspelled function is acked (not failed) with
 /// the unknown name surfaced, a re-declaration reports `replaced`, and
-/// a manifest-covered session's seal ack carries `specialized`.
+/// a manifest-covered session's seal ack carries `manifest_covered`.
 #[test]
 fn manifest_frames_ack_with_discharge_summaries() {
     let daemon = Daemon::start(ServeConfig::default());
@@ -171,8 +171,8 @@ fn manifest_frames_ack_with_discharge_summaries() {
     );
     assert!(ack2.contains("\"unknown_functions\":[]"), "{ack2}");
 
-    // A covered session for the tenant is judged on the specialized
-    // pool — visible in the seal ack's stats.
+    // A covered session for the tenant is flagged covered — visible in
+    // the seal ack's stats.
     c.write_all(&encode_frame(&Frame::Open {
         session: 3,
         tenant: "acme".to_string(),
@@ -193,7 +193,7 @@ fn manifest_frames_ack_with_discharge_summaries() {
     c.flush().expect("flush");
     let sealed = read_line(&mut reader);
     assert!(sealed.contains("\"state\":\"judged\""), "{sealed}");
-    assert!(sealed.contains("\"specialized\":true"), "{sealed}");
+    assert!(sealed.contains("\"manifest_covered\":true"), "{sealed}");
     assert!(sealed.contains("\"discharge_fallback\":false"), "{sealed}");
 
     server.shutdown();

@@ -210,28 +210,27 @@ fn fleet_of_64_sessions_matches_single_process_replay() {
     daemon.shutdown();
 }
 
-/// Tentpole equivalence pin: a daemon serving manifested tenants from
-/// specialized (discharged) pools must produce verdict multisets
-/// identical to a plain full-pool daemon, across the whole corpus —
-/// both for an honest manifest (every session specialized) and for a
-/// deliberately lying one (every session falls back, is flagged, and
-/// loses no verdicts).
+/// Manifest equivalence pin: a daemon judging manifested tenants must
+/// produce verdict multisets identical to a plain daemon, across the
+/// whole corpus — both for an honest manifest (every session flagged
+/// `manifest_covered`) and for a deliberately lying one (every session
+/// flagged `discharge_fallback`, no verdict lost).
 #[test]
-fn specialized_pool_daemon_matches_full_pool_daemon_across_corpus() {
+fn manifested_daemon_matches_plain_daemon_across_corpus() {
     let names = corpus_names();
     assert!(names.len() >= 20, "corpus spans at least 20 traces");
     let traces: Vec<(String, Vec<u8>)> =
         names.iter().map(|n| (n.clone(), corpus_bytes(n))).collect();
 
-    let full = Daemon::start(ServeConfig::default());
-    let spec = Daemon::start(ServeConfig::default());
-    let full_handle = full.handle();
-    let spec_handle = spec.handle();
+    let plain = Daemon::start(ServeConfig::default());
+    let manifested = Daemon::start(ServeConfig::default());
+    let plain_handle = plain.handle();
+    let manifested_handle = manifested.handle();
 
     // The honest manifest: the union of every corpus trace's own
-    // call-site set, so every session is admitted to the specialized
-    // pool. The lying manifest claims a workload that calls almost
-    // nothing — every real trace must fall back.
+    // call-site set, so it covers every session. The lying manifest
+    // claims a workload that calls almost nothing — every real trace
+    // must fall back.
     let mut union = std::collections::BTreeSet::new();
     for (_, bytes) in &traces {
         union.extend(
@@ -241,11 +240,11 @@ fn specialized_pool_daemon_matches_full_pool_daemon_across_corpus() {
         );
     }
     let honest: Vec<String> = union.into_iter().collect();
-    let summary = spec_handle
+    let summary = manifested_handle
         .declare_manifest("honest", &honest)
         .expect("declare honest manifest");
     assert!(summary.discharged > 0, "discharge pass elides something");
-    spec_handle
+    manifested_handle
         .declare_manifest("liar", &["IsSameObject".to_string()])
         .expect("declare lying manifest");
 
@@ -253,59 +252,58 @@ fn specialized_pool_daemon_matches_full_pool_daemon_across_corpus() {
     for (i, (_, bytes)) in traces.iter().enumerate() {
         let i = i as u64;
         for frame in decode_stream(&encode_ingest(i, "plain", "jinn", bytes, 4096)).unwrap() {
-            full_handle.apply_frame(&frame).expect("full ingest");
+            plain_handle.apply_frame(&frame).expect("plain ingest");
         }
         for frame in decode_stream(&encode_ingest(i, "honest", "jinn", bytes, 4096)).unwrap() {
-            spec_handle.apply_frame(&frame).expect("honest ingest");
+            manifested_handle
+                .apply_frame(&frame)
+                .expect("honest ingest");
         }
         let stream = encode_ingest(liar_base + i, "liar", "jinn", bytes, 4096);
         for frame in decode_stream(&stream).unwrap() {
-            spec_handle.apply_frame(&frame).expect("liar ingest");
+            manifested_handle.apply_frame(&frame).expect("liar ingest");
         }
     }
-    full_handle.wait_idle();
-    spec_handle.wait_idle();
+    plain_handle.wait_idle();
+    manifested_handle.wait_idle();
 
     for (i, (name, _)) in traces.iter().enumerate() {
         let i = i as u64;
-        let baseline = served_multiset(&full_handle, i);
-        let honest_set = served_multiset(&spec_handle, i);
-        let liar_set = served_multiset(&spec_handle, liar_base + i);
+        let baseline = served_multiset(&plain_handle, i);
+        let honest_set = served_multiset(&manifested_handle, i);
+        let liar_set = served_multiset(&manifested_handle, liar_base + i);
         assert_eq!(
             honest_set, baseline,
-            "{name}: specialized-pool verdicts diverge from the full pool"
+            "{name}: manifested verdicts diverge from the plain daemon"
         );
-        assert_eq!(
-            liar_set, baseline,
-            "{name}: fallback re-judging lost verdicts"
-        );
+        assert_eq!(liar_set, baseline, "{name}: fallback session lost verdicts");
 
-        let hs = spec_handle.session_stats(i).expect("honest stats");
+        let hs = manifested_handle.session_stats(i).expect("honest stats");
         assert_eq!(hs.state, SessionState::Judged, "{name}: {:?}", hs.reason);
-        assert!(hs.specialized, "{name}: honest session not specialized");
+        assert!(hs.manifest_covered, "{name}: honest session not covered");
         assert!(!hs.discharge_fallback);
-        let ls = spec_handle
+        let ls = manifested_handle
             .session_stats(liar_base + i)
             .expect("liar stats");
         assert!(
-            !ls.specialized && ls.discharge_fallback,
-            "{name}: lying manifest must be flagged, not served specialized"
+            !ls.manifest_covered && ls.discharge_fallback,
+            "{name}: lying manifest must be flagged as a fallback"
         );
     }
 
-    let fleet = spec_handle.fleet();
-    assert_eq!(fleet.specialized_sessions, traces.len() as u64);
+    let fleet = manifested_handle.fleet();
+    assert_eq!(fleet.covered_sessions, traces.len() as u64);
     assert_eq!(fleet.fallback_sessions, traces.len() as u64);
-    assert_eq!(full_handle.fleet().specialized_sessions, 0);
+    assert_eq!(plain_handle.fleet().covered_sessions, 0);
 
-    spec.shutdown();
-    full.shutdown();
+    manifested.shutdown();
+    plain.shutdown();
 }
 
 /// With `learn_after_sessions` set, a tenant that never declares a
 /// manifest earns one from the union of its first K sessions — and a
 /// later out-of-manifest trace falls back once, widens the learned
-/// manifest, and is served specialized from then on.
+/// manifest, and is covered from then on.
 #[test]
 fn undeclared_tenants_learn_a_manifest_and_widen_on_fallback() {
     let daemon = Daemon::start(ServeConfig {
@@ -330,23 +328,63 @@ fn undeclared_tenants_learn_a_manifest_and_widen_on_fallback() {
         handle.wait_session(id).expect("session exists")
     };
 
-    // Sessions 1 and 2 fill the learning window: neither is specialized.
-    assert!(!ingest(1, &narrow).specialized);
-    assert!(!ingest(2, &narrow).specialized);
-    // Session 3 matches the learned union and is specialized.
+    // Sessions 1 and 2 fill the learning window: neither is covered.
+    assert!(!ingest(1, &narrow).manifest_covered);
+    assert!(!ingest(2, &narrow).manifest_covered);
+    // Session 3 matches the learned union and is covered.
     let s3 = ingest(3, &narrow);
-    assert!(s3.specialized && !s3.discharge_fallback);
+    assert!(s3.manifest_covered && !s3.discharge_fallback);
     // Session 4 calls outside it: flagged fallback, verdicts intact...
     let s4 = ingest(4, &wider);
-    assert!(!s4.specialized && s4.discharge_fallback);
+    assert!(!s4.manifest_covered && s4.discharge_fallback);
     let local = local_multiset(&wider, &ReplayConfig::parse("jinn").unwrap());
     assert_eq!(served_multiset(&handle, 4), local, "fallback lost verdicts");
-    // ...and the learned manifest widened, so session 5 is specialized.
+    // ...and the learned manifest widened, so session 5 is covered.
     let s5 = ingest(5, &wider);
-    assert!(s5.specialized && !s5.discharge_fallback);
+    assert!(s5.manifest_covered && !s5.discharge_fallback);
     assert_eq!(served_multiset(&handle, 5), local);
 
     daemon.shutdown();
+}
+
+/// Rollups are re-applied from the session recorder's ring, so a ring
+/// too small for the session must say its rollups are partial: a corpus
+/// trace judged with an 8-event ring reports `rollups_complete: false`
+/// with `ring_overwritten > 0`, and the same trace at the default ring
+/// reports complete rollups.
+#[test]
+fn small_recorder_ring_marks_rollups_incomplete() {
+    let bytes = corpus_bytes("LocalRefDangling");
+    let judged = |config: ServeConfig| {
+        let daemon = Daemon::start(config);
+        let handle = daemon.handle();
+        for frame in decode_stream(&encode_ingest(1, "t", "jinn", &bytes, 4096)).unwrap() {
+            handle.apply_frame(&frame).expect("ingest");
+        }
+        let stats = handle.wait_session(1).expect("session exists");
+        daemon.shutdown();
+        assert_eq!(stats.state, SessionState::Judged, "{:?}", stats.reason);
+        stats
+    };
+
+    let small = judged(ServeConfig {
+        recorder_ring: 8,
+        ..ServeConfig::default()
+    });
+    assert!(small.ring_overwritten > 0);
+    assert!(!small.rollups_complete);
+    let json = small.to_json();
+    assert!(json.contains("\"rollups_complete\":false"), "{json}");
+
+    let full = judged(ServeConfig::default());
+    assert_eq!(full.ring_overwritten, 0);
+    assert!(full.rollups_complete);
+    assert!(full.to_json().contains("\"rollups_complete\":true"));
+    // Every re-judged event is kept, truncated or overwritten, once.
+    assert_eq!(
+        small.summaries + small.summaries_truncated + small.ring_overwritten,
+        full.summaries + full.summaries_truncated
+    );
 }
 
 /// Streaming-incremental-judging pin: a daemon that overlaps ingest with
@@ -474,10 +512,10 @@ fn streaming_daemon_matches_buffered_daemon_across_corpus() {
                     assert!(s.first_frame_micros.is_some());
                     if base == LIAR {
                         assert!(
-                            !s.specialized && s.discharge_fallback,
+                            !s.manifest_covered && s.discharge_fallback,
                             "{name}: streamed lying-manifest session must fall back"
                         );
-                        assert!(!b.specialized && b.discharge_fallback);
+                        assert!(!b.manifest_covered && b.discharge_fallback);
                     }
                 }
                 CORRUPT => {
