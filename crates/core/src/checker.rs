@@ -28,7 +28,7 @@ use minijvm::{
 };
 
 use crate::idhash::IdMap;
-use crate::synth::CheckTable;
+use crate::synth::{CheckTable, Expected, Route, Step};
 
 /// Counters Jinn keeps about its own work (for the overhead experiments).
 /// This is a point-in-time copy; the live counters are the atomics in
@@ -47,6 +47,12 @@ pub struct JinnStats {
 /// The live, atomically-updated counters behind [`SharedStats`]. Atomic
 /// so a `Jinn` moved to a worker thread can be observed from the driver
 /// thread without locks (and so `Jinn` itself is `Send`).
+///
+/// `violations` and `adopted_refs` move the moment they happen. The
+/// checker counts executed checks in a plain field and adds them here at
+/// every native-method return, at `vm_death` and when it is dropped, so
+/// `checks_executed` is exact as of the last native-method return or
+/// shutdown.
 #[derive(Debug, Default)]
 pub struct StatsCell {
     checks_executed: AtomicU64,
@@ -55,7 +61,8 @@ pub struct StatsCell {
 }
 
 impl StatsCell {
-    /// Synthesized checks executed so far.
+    /// Synthesized checks executed, as of the last native-method return
+    /// or shutdown.
     pub fn checks_executed(&self) -> u64 {
         self.checks_executed.load(Ordering::Relaxed)
     }
@@ -191,6 +198,9 @@ struct MethodSnapshot {
     class: ClassId,
     name: String,
     sig: MethodSig,
+    /// The class of each formal, as far as the registry knew it when the
+    /// ID was recorded (`None`: primitive, or not defined yet).
+    param_classes: Vec<Option<ClassId>>,
     is_static: bool,
     visibility: minijvm::Visibility,
 }
@@ -200,9 +210,19 @@ struct FieldSnapshot {
     class: ClassId,
     name: String,
     ty: FieldType,
+    /// The class of `ty` when the ID was recorded, as for
+    /// [`MethodSnapshot::param_classes`].
+    ty_class: Option<ClassId>,
     is_static: bool,
     is_final: bool,
     visibility: minijvm::Visibility,
+}
+
+/// The class a reference-typed formal must conform to. The registry only
+/// ever adds classes, so a class resolved once stays right; a type that
+/// was not defined yet is looked up again.
+fn formal_class(jvm: &Jvm, resolved: Option<ClassId>, ty: &FieldType) -> Option<ClassId> {
+    resolved.or_else(|| jvm.registry().class_for_type(ty))
 }
 
 /// Configuration of a synthesized checker.
@@ -244,6 +264,12 @@ pub struct Jinn {
     checks_enabled: bool,
     config: JinnConfig,
     stats: SharedStats,
+    /// Checks executed since the counts were last published to `stats`
+    /// and the recorder (see [`StatsCell`]).
+    unpublished_checks: u64,
+    /// The fixed-typing checks' expected classes in this VM, by the
+    /// table's class slot; filled on first use.
+    fixed_classes: Vec<Option<ClassId>>,
     methods: IdMap<MethodId, MethodSnapshot>,
     fields: IdMap<FieldId, FieldSnapshot>,
     pins: IdMap<PinId, PinInfo>,
@@ -311,6 +337,12 @@ impl Default for Jinn {
     }
 }
 
+impl Drop for Jinn {
+    fn drop(&mut self) {
+        self.publish();
+    }
+}
+
 impl Jinn {
     /// Synthesizes a fresh checker from the eleven machine specifications.
     pub fn new() -> Jinn {
@@ -331,10 +363,12 @@ impl Jinn {
             Cow::Owned(own)
         };
         Jinn {
+            fixed_classes: vec![None; table.fixed_class_count()],
             table,
             checks_enabled: true,
             config,
             stats: Arc::new(StatsCell::default()),
+            unpublished_checks: 0,
             methods: IdMap::default(),
             fields: IdMap::default(),
             pins: IdMap::default(),
@@ -353,6 +387,8 @@ impl Jinn {
     /// machine, transition, and counter names the checker records are
     /// interned here, once.
     pub fn set_recorder(&mut self, recorder: Recorder) {
+        // Checks run so far belong to the recorder they ran under.
+        self.publish();
         self.labels = ObsLabels {
             local_ref: recorder.intern("local-reference"),
             global_ref: recorder.intern("global-reference"),
@@ -370,8 +406,19 @@ impl Jinn {
         Arc::clone(&self.stats)
     }
 
-    /// An interposing-but-not-checking Jinn: the wrappers run, the check
-    /// tables are traversed, but no analysis executes (Table 3's
+    /// Adds the checks executed since the last call to the shared stats
+    /// and the recorder's `checks.executed` counter: one atomic add and
+    /// one recorder push per native method instead of per JNI call.
+    fn publish(&mut self) {
+        let n = std::mem::take(&mut self.unpublished_checks);
+        if n > 0 {
+            self.stats.checks_executed.fetch_add(n, Ordering::Relaxed);
+            self.recorder.count_id(self.labels.checks_executed, n);
+        }
+    }
+
+    /// An interposing-but-not-checking Jinn: the wrappers run but no
+    /// analysis executes, and no checks are counted (Table 3's
     /// "Interposing" column).
     pub fn interpose_only() -> Jinn {
         let mut jinn = Jinn::new();
@@ -412,6 +459,19 @@ impl Jinn {
             },
             ReportAction::ThrowException,
         )
+    }
+
+    /// The report for a failed check of `cx`'s JNI function. The function
+    /// name is looked up, and the message built, only here.
+    fn fail(
+        &self,
+        cx: &CallCx<'_>,
+        machine: &'static str,
+        error_state: &'static str,
+        message: impl FnOnce(&str) -> String,
+    ) -> Report {
+        let function = cx.func.name();
+        self.violation(machine, error_state, function, message(function), cx.stack)
     }
 
     // ---- local reference helpers ------------------------------------
@@ -509,32 +569,16 @@ impl Jinn {
         );
     }
 
-    fn check_ref_use(
-        &mut self,
-        jvm: &Jvm,
-        thread: ThreadId,
-        r: JRef,
-        machine_wanted: &'static str,
-    ) -> Option<String> {
-        match (r.kind(), machine_wanted) {
-            (RefKind::Null, _) => None,
-            (RefKind::Local, "local-reference") => self.check_local_use(jvm, thread, r),
-            (RefKind::Global | RefKind::WeakGlobal, "global-reference") => {
-                self.check_global_use(jvm, thread, r)
-            }
-            _ => None, // the other machine owns this kind
-        }
-    }
-
     // ---- entity typing helpers ---------------------------------------
 
     fn check_args_against_sig(
         &self,
         jvm: &Jvm,
         thread: ThreadId,
-        sig: &MethodSig,
+        snap: &MethodSnapshot,
         actuals: &[JValue],
     ) -> Option<String> {
+        let sig = &snap.sig;
         if sig.params().len() != actuals.len() {
             return Some(format!(
                 "{} actual arguments for {} formals",
@@ -542,7 +586,13 @@ impl Jinn {
                 sig.params().len()
             ));
         }
-        for (i, (formal, actual)) in sig.params().iter().zip(actuals).enumerate() {
+        for (i, ((formal, resolved), actual)) in sig
+            .params()
+            .iter()
+            .zip(&snap.param_classes)
+            .zip(actuals)
+            .enumerate()
+        {
             match (formal, actual) {
                 (FieldType::Prim(p), v) => {
                     if v.prim_type() != Some(*p) {
@@ -557,7 +607,7 @@ impl Jinn {
                     }
                     if let Ok(Some(oop)) = jvm.resolve(thread, *r) {
                         let actual_class = jvm.class_of(oop);
-                        if let Some(expected) = jvm.registry().class_for_type(ft) {
+                        if let Some(expected) = formal_class(jvm, *resolved, ft) {
                             if !jvm.registry().is_assignable(actual_class, expected) {
                                 return Some(format!(
                                     "argument {i} is a {} but the formal is {}",
@@ -668,7 +718,7 @@ impl Jinn {
             Some(JniArg::Args(v)) => v,
             _ => &[],
         };
-        self.check_args_against_sig(jvm, cx.thread, &snap.sig, actuals)
+        self.check_args_against_sig(jvm, cx.thread, snap, actuals)
     }
 
     fn check_field_access(
@@ -750,7 +800,7 @@ impl Jinn {
                         if !r.is_null() {
                             if let Ok(Some(oop)) = jvm.resolve(cx.thread, r) {
                                 let cls = jvm.class_of(oop);
-                                if let Some(expected) = jvm.registry().class_for_type(ft) {
+                                if let Some(expected) = formal_class(jvm, snap.ty_class, ft) {
                                     if !jvm.registry().is_assignable(cls, expected) {
                                         return Some(format!(
                                             "value of class {} does not conform to field type {}",
@@ -771,9 +821,16 @@ impl Jinn {
         None
     }
 
-    fn check_fixed_type(&self, jvm: &Jvm, cx: &CallCx<'_>, param: usize) -> Option<String> {
-        let spec = cx.spec();
-        let p = &spec.params[param];
+    fn check_fixed_type(
+        &mut self,
+        jvm: &Jvm,
+        cx: &CallCx<'_>,
+        param: usize,
+        route: Route,
+    ) -> Option<String> {
+        let Route::Fixed { first, len } = route else {
+            return None;
+        };
         let r = cx.args.get(param).and_then(JniArg::as_ref)?;
         if r.is_null() {
             return None; // nullness machine owns this case
@@ -781,18 +838,25 @@ impl Jinn {
         let oop = jvm.resolve(cx.thread, r).ok().flatten()?;
         let class = jvm.class_of(oop);
         let class_name = jvm.registry().class(class).name();
-        let conforms = p.fixed_types.iter().any(|t| match *t {
-            "[*" => class_name.starts_with('['),
-            "[prim" => class_name.len() == 2 && class_name.starts_with('['),
-            "[obj" => class_name.starts_with("[L") || class_name.starts_with("[["),
-            expected => match jvm.registry().class_by_name(expected) {
-                Some(tc) => jvm.registry().is_assignable(class, tc),
-                None => false,
-            },
+        let (table, cache) = (&self.table, &mut self.fixed_classes);
+        let conforms = table.expected(first, len).iter().any(|e| match *e {
+            Expected::AnyArray => class_name.starts_with('['),
+            Expected::PrimArray => class_name.len() == 2 && class_name.starts_with('['),
+            Expected::ObjArray => class_name.starts_with("[L") || class_name.starts_with("[["),
+            Expected::Class(slot) => {
+                // The registry only ever adds classes, so a class found
+                // once stays found; a miss is looked up again next time.
+                let cached = &mut cache[usize::from(slot)];
+                if cached.is_none() {
+                    *cached = jvm.registry().class_by_name(table.fixed_class_name(slot));
+                }
+                cached.is_some_and(|tc| jvm.registry().is_assignable(class, tc))
+            }
         });
         if conforms {
             None
         } else {
+            let p = &cx.spec().params[param];
             Some(format!(
                 "parameter `{}` is a {} but must conform to {}",
                 p.name,
@@ -808,13 +872,20 @@ impl Jinn {
         if self.methods.contains_key(&mid) {
             return;
         }
-        if let Some(info) = jvm.registry().method(mid) {
+        let registry = jvm.registry();
+        if let Some(info) = registry.method(mid) {
             self.methods.insert(
                 mid,
                 MethodSnapshot {
                     class: info.class,
                     name: info.name.clone(),
                     sig: info.sig.clone(),
+                    param_classes: info
+                        .sig
+                        .params()
+                        .iter()
+                        .map(|ft| registry.class_for_type(ft))
+                        .collect(),
                     is_static: info.flags.is_static,
                     visibility: info.flags.visibility,
                 },
@@ -833,6 +904,7 @@ impl Jinn {
                     class: info.class,
                     name: info.name.clone(),
                     ty: info.ty.clone(),
+                    ty_class: jvm.registry().class_for_type(&info.ty),
                     is_static: info.flags.is_static,
                     is_final: info.flags.is_final,
                     visibility: info.flags.visibility,
@@ -844,35 +916,23 @@ impl Jinn {
     // ---- the check interpreter ------------------------------------------
 
     #[allow(clippy::too_many_lines)]
-    fn run_pre_check(
-        &mut self,
-        jvm: &Jvm,
-        cx: &CallCx<'_>,
-        machine: &'static str,
-        check: Check,
-    ) -> Option<Report> {
-        let fname = cx.func.name();
-        match check {
+    fn run_pre_check(&mut self, jvm: &Jvm, cx: &CallCx<'_>, step: Step) -> Option<Report> {
+        let machine = step.point.machine;
+        match step.point.check {
             Check::EnvMatches => {
                 let own = jvm.thread(cx.thread).env();
                 if cx.presented_env != own {
-                    return Some(self.violation(
-                        machine,
-                        "Error:EnvMismatch",
-                        fname,
-                        format!("JNIEnv* does not belong to the current thread in {fname}"),
-                        cx.stack,
-                    ));
+                    return Some(self.fail(cx, machine, "Error:EnvMismatch", |fname| {
+                        format!("JNIEnv* does not belong to the current thread in {fname}")
+                    }));
                 }
             }
             Check::NoPendingException if jvm.thread(cx.thread).pending_exception().is_some() => {
-                return Some(self.violation(
-                    machine,
-                    "Error:SensitiveCallWithPending",
-                    fname,
-                    format!("An exception is pending in {fname}."),
-                    cx.stack,
-                ));
+                return Some(
+                    self.fail(cx, machine, "Error:SensitiveCallWithPending", |fname| {
+                        format!("An exception is pending in {fname}.")
+                    }),
+                );
             }
             Check::CriticalSensitive
                 if self
@@ -881,13 +941,11 @@ impl Jinn {
                     .map(|v| !v.is_empty())
                     .unwrap_or(false) =>
             {
-                return Some(self.violation(
-                    machine,
-                    "Error:SensitiveCallInCritical",
-                    fname,
-                    format!("{fname} called inside a JNI critical section"),
-                    cx.stack,
-                ));
+                return Some(
+                    self.fail(cx, machine, "Error:SensitiveCallInCritical", |fname| {
+                        format!("{fname} called inside a JNI critical section")
+                    }),
+                );
             }
             Check::CriticalRelease => {
                 let object = cx.args.get(1).and_then(|a| match a {
@@ -903,74 +961,48 @@ impl Jinn {
                         }
                     }
                     None => {
-                        return Some(self.violation(
-                            machine,
-                            "Error:UnmatchedRelease",
-                            fname,
-                            format!(
-                                "{fname} releases a critical resource the thread does not hold"
-                            ),
-                            cx.stack,
-                        ));
+                        return Some(self.fail(cx, machine, "Error:UnmatchedRelease", |fname| {
+                            format!("{fname} releases a critical resource the thread does not hold")
+                        }));
                     }
                 }
             }
             Check::FixedType { param } => {
-                if let Some(msg) = self.check_fixed_type(jvm, cx, param as usize) {
-                    return Some(self.violation(
-                        machine,
-                        "Error:FixedTypeMismatch",
-                        fname,
-                        format!("{msg} in {fname}"),
-                        cx.stack,
-                    ));
+                if let Some(msg) = self.check_fixed_type(jvm, cx, param as usize, step.route) {
+                    return Some(self.fail(cx, machine, "Error:FixedTypeMismatch", |fname| {
+                        format!("{msg} in {fname}")
+                    }));
                 }
             }
             Check::EntityCall { mode } => {
                 if let Some(msg) = self.check_entity_call(jvm, cx, mode) {
-                    return Some(self.violation(
-                        machine,
-                        "Error:EntityTypeMismatch",
-                        fname,
-                        format!("{msg} in {fname}"),
-                        cx.stack,
-                    ));
+                    return Some(self.fail(cx, machine, "Error:EntityTypeMismatch", |fname| {
+                        format!("{msg} in {fname}")
+                    }));
                 }
             }
             Check::EntityFieldAccess { stat, write } => {
                 if let Some(msg) = self.check_field_access(jvm, cx, stat, write) {
-                    return Some(self.violation(
-                        machine,
-                        "Error:EntityTypeMismatch",
-                        fname,
-                        format!("{msg} in {fname}"),
-                        cx.stack,
-                    ));
+                    return Some(self.fail(cx, machine, "Error:EntityTypeMismatch", |fname| {
+                        format!("{msg} in {fname}")
+                    }));
                 }
             }
             Check::KnownMethodId { param } => {
                 if let Some(JniArg::Method(m)) = cx.args.get(param as usize) {
                     if !self.methods.contains_key(m) {
-                        return Some(self.violation(
-                            machine,
-                            "Error:EntityTypeMismatch",
-                            fname,
-                            format!("method ID {m} was never issued by the JVM (in {fname})"),
-                            cx.stack,
-                        ));
+                        return Some(self.fail(cx, machine, "Error:EntityTypeMismatch", |fname| {
+                            format!("method ID {m} was never issued by the JVM (in {fname})")
+                        }));
                     }
                 }
             }
             Check::KnownFieldId { param } => {
                 if let Some(JniArg::Field(f)) = cx.args.get(param as usize) {
                     if !self.fields.contains_key(f) {
-                        return Some(self.violation(
-                            machine,
-                            "Error:EntityTypeMismatch",
-                            fname,
-                            format!("field ID {f} was never issued by the JVM (in {fname})"),
-                            cx.stack,
-                        ));
+                        return Some(self.fail(cx, machine, "Error:EntityTypeMismatch", |fname| {
+                            format!("field ID {f} was never issued by the JVM (in {fname})")
+                        }));
                     }
                 }
             }
@@ -978,12 +1010,11 @@ impl Jinn {
                 if let Some(JniArg::Field(f)) = cx.args.get(1) {
                     if let Some(snap) = self.fields.get(f) {
                         if snap.is_final {
-                            return Some(self.violation(
+                            return Some(self.fail(
+                                cx,
                                 machine,
                                 "Error:FinalFieldWrite",
-                                fname,
-                                format!("{fname} assigns to final field {}", snap.name),
-                                cx.stack,
+                                |fname| format!("{fname} assigns to final field {}", snap.name),
                             ));
                         }
                     }
@@ -993,13 +1024,9 @@ impl Jinn {
                 if let Some(r) = cx.args.get(param as usize).and_then(JniArg::as_ref) {
                     if r.is_null() {
                         let pname = cx.spec().params[param as usize].name;
-                        return Some(self.violation(
-                            machine,
-                            "Error:Null",
-                            fname,
-                            format!("parameter `{pname}` of {fname} must not be null"),
-                            cx.stack,
-                        ));
+                        return Some(self.fail(cx, machine, "Error:Null", |fname| {
+                            format!("parameter `{pname}` of {fname} must not be null")
+                        }));
                     }
                 }
             }
@@ -1008,23 +1035,23 @@ impl Jinn {
                     let expected = expected_pin_kind(cx.func);
                     match self.pins.get_mut(pin) {
                         Some(info) if info.released => {
-                            return Some(self.violation(
+                            return Some(self.fail(
+                                cx,
                                 "pinned-buffer",
                                 "Error:DoubleFree",
-                                fname,
-                                format!("{fname} releases an already-released buffer"),
-                                cx.stack,
+                                |fname| format!("{fname} releases an already-released buffer"),
                             ));
                         }
                         Some(info) => {
                             if Some(info.kind) != expected {
                                 let kind = info.kind;
-                                return Some(self.violation(
+                                return Some(self.fail(
+                                    cx,
                                     "pinned-buffer",
                                     "Error:DoubleFree",
-                                    fname,
-                                    format!("{fname} releases a buffer acquired via {kind}"),
-                                    cx.stack,
+                                    |fname| {
+                                        format!("{fname} releases a buffer acquired via {kind}")
+                                    },
                                 ));
                             }
                             info.released = true;
@@ -1043,12 +1070,13 @@ impl Jinn {
                                     },
                                 );
                             } else {
-                                return Some(self.violation(
+                                return Some(self.fail(
+                                    cx,
                                     "pinned-buffer",
                                     "Error:DoubleFree",
-                                    fname,
-                                    format!("{fname} releases a buffer that was never acquired"),
-                                    cx.stack,
+                                    |fname| {
+                                        format!("{fname} releases a buffer that was never acquired")
+                                    },
                                 ));
                             }
                         }
@@ -1057,14 +1085,21 @@ impl Jinn {
             }
             Check::RefUse { param } => {
                 if let Some(r) = cx.args.get(param as usize).and_then(JniArg::as_ref) {
-                    if let Some(msg) = self.check_ref_use(jvm, cx.thread, r, machine) {
-                        return Some(self.violation(
-                            machine,
-                            "Error:Dangling",
-                            fname,
-                            format!("{msg} in {fname}"),
-                            cx.stack,
-                        ));
+                    // The table routed this check to the machine that owns
+                    // one reference kind; null and the other kinds pass.
+                    let failure = match (step.route, r.kind()) {
+                        (Route::LocalUse, RefKind::Local) => {
+                            self.check_local_use(jvm, cx.thread, r)
+                        }
+                        (Route::GlobalUse, RefKind::Global | RefKind::WeakGlobal) => {
+                            self.check_global_use(jvm, cx.thread, r)
+                        }
+                        _ => None,
+                    };
+                    if let Some(msg) = failure {
+                        return Some(self.fail(cx, machine, "Error:Dangling", |fname| {
+                            format!("{msg} in {fname}")
+                        }));
                     }
                 }
             }
@@ -1085,24 +1120,19 @@ impl Jinn {
                             );
                         }
                         Some(RefState::Released) => {
-                            return Some(self.violation(
-                                machine,
-                                "Error:Dangling",
-                                fname,
-                                format!("{fname} deletes an already-deleted global reference"),
-                                cx.stack,
-                            ));
+                            return Some(self.fail(cx, machine, "Error:Dangling", |fname| {
+                                format!("{fname} deletes an already-deleted global reference")
+                            }));
                         }
                         None => {
                             if jvm.resolve(cx.thread, r).is_ok() {
                                 self.globals.insert(key, RefState::Released);
                             } else {
-                                return Some(self.violation(
+                                return Some(self.fail(
+                                    cx,
                                     machine,
                                     "Error:Dangling",
-                                    fname,
-                                    format!("{fname} deletes a global reference that was never acquired"),
-                                    cx.stack,
+                                    |fname| format!("{fname} deletes a global reference that was never acquired"),
                                 ));
                             }
                         }
@@ -1131,27 +1161,19 @@ impl Jinn {
                             );
                         }
                         Some(RefState::Released) => {
-                            return Some(self.violation(
-                                machine,
-                                "Error:DoubleFree",
-                                fname,
-                                format!("{fname} deletes an already-deleted local reference"),
-                                cx.stack,
-                            ));
+                            return Some(self.fail(cx, machine, "Error:DoubleFree", |fname| {
+                                format!("{fname} deletes an already-deleted local reference")
+                            }));
                         }
                         None => {
                             if jvm.resolve(thread, r).map(|o| o.is_some()).unwrap_or(false) {
                                 self.tracker(thread).states.insert(key, RefState::Released);
                             } else {
-                                return Some(self.violation(
-                                    machine,
-                                    "Error:DoubleFree",
-                                    fname,
+                                return Some(self.fail(cx, machine, "Error:DoubleFree", |fname| {
                                     format!(
                                         "{fname} deletes a local reference that was never acquired"
-                                    ),
-                                    cx.stack,
-                                ));
+                                    )
+                                }));
                             }
                         }
                     }
@@ -1168,13 +1190,9 @@ impl Jinn {
                 if top_is_explicit {
                     tracker.release_frame();
                 } else {
-                    return Some(self.violation(
-                        machine,
-                        "Error:DoubleFree",
-                        fname,
-                        format!("{fname} pops a local frame that was never pushed"),
-                        cx.stack,
-                    ));
+                    return Some(self.fail(cx, machine, "Error:DoubleFree", |fname| {
+                        format!("{fname} pops a local frame that was never pushed")
+                    }));
                 }
             }
             // Post-only checks never appear in pre tables.
@@ -1187,15 +1205,13 @@ impl Jinn {
         &mut self,
         jvm: &Jvm,
         cx: &CallCx<'_>,
-        machine: &'static str,
-        check: Check,
+        step: Step,
         ret: Option<&JniRet>,
     ) -> Option<Report> {
-        let fname = cx.func.name();
         let Some(ret) = ret else {
             return None; // the call failed; no encoding transitions
         };
-        match check {
+        match step.point.check {
             Check::RecordMethodId => {
                 if let JniRet::Method(m) = ret {
                     self.record_method(jvm, *m);
@@ -1280,15 +1296,11 @@ impl Jinn {
                             r,
                         );
                         if overflow {
-                            return Some(self.violation(
-                                machine,
-                                "Error:Overflow",
-                                fname,
+                            return Some(self.fail(cx, step.point.machine, "Error:Overflow", |fname| {
                                 format!(
                                     "{fname} acquired local reference {len} of a frame with capacity {cap} (use EnsureLocalCapacity or PushLocalFrame)"
-                                ),
-                                cx.stack,
-                            ));
+                                )
+                            }));
                         }
                     }
                 }
@@ -1334,48 +1346,37 @@ impl Interpose for Jinn {
     }
 
     fn pre_jni(&mut self, jvm: &Jvm, cx: &CallCx<'_>) -> Vec<Report> {
-        // Synthesized wrappers throw at the first violated constraint
-        // (Figure 4), so the first report wins.
-        let n = self.table.pre(cx.func).len();
-        self.stats
-            .checks_executed
-            .fetch_add(n as u64, Ordering::Relaxed);
-        if n > 0 {
-            // A zero delta is invisible in every metrics export; skip
-            // the recorder round-trip for it.
-            self.recorder
-                .count_id(self.labels.checks_executed, n as u64);
-        }
         if !self.checks_enabled {
             return Vec::new();
         }
+        // Synthesized wrappers throw at the first violated constraint
+        // (Figure 4), so the first report wins and the checks after it
+        // never run.
+        let n = self.table.pre(cx.func).len();
         for i in 0..n {
-            let point = self.table.pre(cx.func)[i];
-            if let Some(report) = self.run_pre_check(jvm, cx, point.machine, point.check) {
+            let step = self.table.pre(cx.func)[i];
+            if let Some(report) = self.run_pre_check(jvm, cx, step) {
+                self.unpublished_checks += i as u64 + 1;
                 return vec![report];
             }
         }
+        self.unpublished_checks += n as u64;
         Vec::new()
     }
 
     fn post_jni(&mut self, jvm: &Jvm, cx: &CallCx<'_>, ret: Option<&JniRet>) -> Vec<Report> {
-        let n = self.table.post(cx.func).len();
-        self.stats
-            .checks_executed
-            .fetch_add(n as u64, Ordering::Relaxed);
-        if n > 0 {
-            self.recorder
-                .count_id(self.labels.checks_executed, n as u64);
-        }
         if !self.checks_enabled {
             return Vec::new();
         }
+        let n = self.table.post(cx.func).len();
         for i in 0..n {
-            let point = self.table.post(cx.func)[i];
-            if let Some(report) = self.run_post_check(jvm, cx, point.machine, point.check, ret) {
+            let step = self.table.post(cx.func)[i];
+            if let Some(report) = self.run_post_check(jvm, cx, step, ret) {
+                self.unpublished_checks += i as u64 + 1;
                 return vec![report];
             }
         }
+        self.unpublished_checks += n as u64;
         Vec::new()
     }
 
@@ -1422,14 +1423,18 @@ impl Interpose for Jinn {
         returned_ref: Option<JRef>,
         stack: &[String],
     ) -> Vec<Report> {
+        // A native-method return is where the checks its JNI calls ran
+        // become visible in the shared counters.
+        self.publish();
         if !self.checks_enabled {
             return Vec::new();
         }
         let mut reports = Vec::new();
-        let method_name = jvm
-            .registry()
-            .method(method)
-            .map_or("<native method>", |m| m.name.as_str());
+        let method_name = || {
+            jvm.registry()
+                .method(method)
+                .map_or("<native method>", |m| m.name.as_str())
+        };
 
         // Use of the returned reference (Return:C→Java Use transition).
         if let Some(r) = returned_ref {
@@ -1444,6 +1449,7 @@ impl Interpose for Jinn {
                 } else {
                     "global-reference"
                 };
+                let method_name = method_name();
                 reports.push(self.violation(
                     machine,
                     "Error:Dangling",
@@ -1469,6 +1475,7 @@ impl Interpose for Jinn {
         // Release the native-entry frame itself.
         tracker.release_frame();
         if leaked_frames > 0 {
+            let method_name = method_name();
             reports.push(self.violation(
                 "local-reference",
                 "Error:FrameLeak",
@@ -1481,6 +1488,7 @@ impl Interpose for Jinn {
     }
 
     fn vm_death(&mut self, jvm: &Jvm) -> Vec<Report> {
+        self.publish();
         if !self.checks_enabled {
             return Vec::new();
         }

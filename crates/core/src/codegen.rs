@@ -471,8 +471,8 @@ pub fn generate_c_wrappers() -> (String, CodegenStats) {
             "" => String::new(),
             v => format!(", {v}"),
         };
-        for point in table.pre(func) {
-            emit_pre_check(&mut out, spec, point, &fail);
+        for step in table.pre(func) {
+            emit_pre_check(&mut out, spec, &step.point, &fail);
             checks += 1;
         }
 
@@ -497,8 +497,8 @@ pub fn generate_c_wrappers() -> (String, CodegenStats) {
             let _ = writeln!(out, "  {ret_ty} jinn_result = {call};");
         }
 
-        for point in table.post(func) {
-            emit_post_check(&mut out, spec, point);
+        for step in table.post(func) {
+            emit_post_check(&mut out, spec, &step.point);
             checks += 1;
         }
         let _ = writeln!(

@@ -82,6 +82,6 @@ pub use checker::{
 pub use codegen::{generate_c_wrappers, CodegenStats};
 pub use synth::{
     discharge, discharge_machine, is_encoding_update, synthesize, synthesize_cached, CheckTable,
-    DischargeReason, DischargeReport, DischargedTransition, MachineDischarge, SynthStats,
+    DischargeReason, DischargeReport, DischargedTransition, MachineDischarge, Step, SynthStats,
     WorkloadManifest,
 };

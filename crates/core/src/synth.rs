@@ -27,21 +27,135 @@ use jinn_spec::{instrumentation, Check, InstrPoint, Phase, BOUNDARY_CHECKS};
 use minijni::registry;
 
 /// The synthesized per-function check table.
+///
+/// Besides the spec's instrumentation points, building the table
+/// resolves what the runtime checker would otherwise work out on every
+/// call: which reference kinds a `RefUse` check owns, and which expected
+/// types a `FixedType` check names. The per-call path then compares no
+/// machine or class names.
 #[derive(Debug, Clone)]
 pub struct CheckTable {
-    pre: Vec<Vec<InstrPoint>>,
-    post: Vec<Vec<InstrPoint>>,
+    pre: Vec<Vec<Step>>,
+    post: Vec<Vec<Step>>,
+    /// Expected types of every `FixedType` step, in parameter order;
+    /// each step owns one contiguous run.
+    fixed: Vec<Expected>,
+    /// Distinct class names the `fixed` entries look up, by slot.
+    fixed_classes: Vec<&'static str>,
+}
+
+/// One synthesized check, in the form the runtime checker executes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Step {
+    /// The instrumentation point this step was built from.
+    pub point: InstrPoint,
+    pub(crate) route: Route,
+}
+
+/// What building the table resolved for one step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// Interpret the spec check as it is.
+    Spec,
+    /// A `RefUse` owned by the local-reference machine: it checks local
+    /// references only.
+    LocalUse,
+    /// A `RefUse` owned by the global-reference machine: it checks
+    /// global and weak-global references only.
+    GlobalUse,
+    /// A `FixedType` check whose expected types are
+    /// `fixed[first..first + len]`.
+    Fixed { first: u16, len: u8 },
+}
+
+/// One expected type of a fixed-typing constraint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Expected {
+    /// `"[*"`: any array.
+    AnyArray,
+    /// `"[prim"`: any primitive array.
+    PrimArray,
+    /// `"[obj"`: any object array.
+    ObjArray,
+    /// A named class (or array descriptor): the slot of its name in
+    /// [`CheckTable::fixed_class_name`].
+    Class(u16),
 }
 
 impl CheckTable {
+    fn build(points: Vec<InstrPoint>, functions: usize) -> CheckTable {
+        let mut table = CheckTable {
+            pre: vec![Vec::new(); functions],
+            post: vec![Vec::new(); functions],
+            fixed: Vec::new(),
+            fixed_classes: Vec::new(),
+        };
+        for point in points {
+            let route = match point.check {
+                Check::RefUse { .. } if point.machine == "local-reference" => Route::LocalUse,
+                Check::RefUse { .. } if point.machine == "global-reference" => Route::GlobalUse,
+                Check::FixedType { param } => {
+                    let names = point.func.spec().params[param as usize].fixed_types;
+                    let first = u16::try_from(table.fixed.len()).expect("fixed types fit u16");
+                    for &name in names {
+                        let expected = match name {
+                            "[*" => Expected::AnyArray,
+                            "[prim" => Expected::PrimArray,
+                            "[obj" => Expected::ObjArray,
+                            class => Expected::Class(table.class_slot(class)),
+                        };
+                        table.fixed.push(expected);
+                    }
+                    Route::Fixed {
+                        first,
+                        len: u8::try_from(names.len()).expect("a parameter's types fit u8"),
+                    }
+                }
+                _ => Route::Spec,
+            };
+            let step = Step { point, route };
+            match point.phase {
+                Phase::Pre => table.pre[point.func.0 as usize].push(step),
+                Phase::Post => table.post[point.func.0 as usize].push(step),
+            }
+        }
+        table
+    }
+
+    fn class_slot(&mut self, name: &'static str) -> u16 {
+        let slot = match self.fixed_classes.iter().position(|&n| n == name) {
+            Some(slot) => slot,
+            None => {
+                self.fixed_classes.push(name);
+                self.fixed_classes.len() - 1
+            }
+        };
+        u16::try_from(slot).expect("class slots fit u16")
+    }
+
     /// Pre-call checks for a function.
-    pub fn pre(&self, func: minijni::FuncId) -> &[InstrPoint] {
+    pub fn pre(&self, func: minijni::FuncId) -> &[Step] {
         &self.pre[func.0 as usize]
     }
 
     /// Post-return checks for a function.
-    pub fn post(&self, func: minijni::FuncId) -> &[InstrPoint] {
+    pub fn post(&self, func: minijni::FuncId) -> &[Step] {
         &self.post[func.0 as usize]
+    }
+
+    /// The expected types of a [`Route::Fixed`] step.
+    pub(crate) fn expected(&self, first: u16, len: u8) -> &[Expected] {
+        &self.fixed[usize::from(first)..usize::from(first) + usize::from(len)]
+    }
+
+    /// Number of distinct class names fixed-typing checks look up.
+    pub(crate) fn fixed_class_count(&self) -> usize {
+        self.fixed_classes.len()
+    }
+
+    /// The class name behind an [`Expected::Class`] slot.
+    pub(crate) fn fixed_class_name(&self, slot: u16) -> &'static str {
+        self.fixed_classes[usize::from(slot)]
     }
 
     /// Total number of synthesized checks.
@@ -53,7 +167,7 @@ impl CheckTable {
     /// ablation knob: synthesizing from a subset of the eleven machines.
     pub fn retain_machines(&mut self, keep: impl Fn(&'static str) -> bool) {
         for list in self.pre.iter_mut().chain(self.post.iter_mut()) {
-            list.retain(|p| keep(p.machine));
+            list.retain(|s| keep(s.point.machine));
         }
     }
 
@@ -81,20 +195,12 @@ pub struct SynthStats {
 /// Runs Algorithm 1: expands machines × transitions × triggers into the
 /// per-function check table.
 pub fn synthesize() -> (CheckTable, SynthStats) {
-    let reg = registry();
-    let n = reg.len();
-    let mut pre: Vec<Vec<InstrPoint>> = vec![Vec::new(); n];
-    let mut post: Vec<Vec<InstrPoint>> = vec![Vec::new(); n];
+    let n = registry().len();
     let points = instrumentation();
     let instr_points = points.len();
-    for p in points {
-        match p.phase {
-            Phase::Pre => pre[p.func.0 as usize].push(p),
-            Phase::Post => post[p.func.0 as usize].push(p),
-        }
-    }
+    let table = CheckTable::build(points, n);
     let wrapped_functions = (0..n)
-        .filter(|&i| !pre[i].is_empty() || !post[i].is_empty())
+        .filter(|&i| !table.pre[i].is_empty() || !table.post[i].is_empty())
         .count();
     let stats = SynthStats {
         machines: jinn_spec::machines().len(),
@@ -103,7 +209,7 @@ pub fn synthesize() -> (CheckTable, SynthStats) {
         boundary_checks: BOUNDARY_CHECKS.len(),
         spec_lines: jinn_spec::spec_source_lines(),
     };
-    (CheckTable { pre, post }, stats)
+    (table, stats)
 }
 
 /// The memoized synthesis result. Algorithm 1 is a pure function of the
@@ -476,17 +582,52 @@ mod tests {
     fn table_orders_checks_per_function() {
         let (table, _) = synthesize();
         let f = FuncId::of("GetStringCritical");
-        assert!(table.pre(f).iter().any(|p| p.check == Check::EnvMatches));
-        assert!(table
-            .post(f)
-            .iter()
-            .any(|p| p.check == Check::CriticalAcquire));
-        assert!(table.post(f).iter().any(|p| p.check == Check::PinAcquire));
+        let has = |steps: &[Step], check| steps.iter().any(|s| s.point.check == check);
+        assert!(has(table.pre(f), Check::EnvMatches));
+        assert!(has(table.post(f), Check::CriticalAcquire));
+        assert!(has(table.post(f), Check::PinAcquire));
         // Critical-insensitive: no CriticalSensitive pre check.
-        assert!(!table
-            .pre(f)
-            .iter()
-            .any(|p| p.check == Check::CriticalSensitive));
+        assert!(!has(table.pre(f), Check::CriticalSensitive));
+    }
+
+    #[test]
+    fn building_the_table_routes_ref_uses_and_resolves_fixed_types() {
+        let (table, _) = synthesize();
+        for func in (0..registry().len()).map(|i| FuncId(i as u16)) {
+            for step in table.pre(func).iter().chain(table.post(func)) {
+                match (step.point.check, step.route) {
+                    (Check::RefUse { .. }, Route::LocalUse) => {
+                        assert_eq!(step.point.machine, "local-reference");
+                    }
+                    (Check::RefUse { .. }, Route::GlobalUse) => {
+                        assert_eq!(step.point.machine, "global-reference");
+                    }
+                    (Check::FixedType { param }, Route::Fixed { first, len }) => {
+                        let names = func.spec().params[param as usize].fixed_types;
+                        assert_eq!(names.len(), usize::from(len));
+                        for (name, expected) in names.iter().zip(table.expected(first, len)) {
+                            if let Expected::Class(slot) = *expected {
+                                assert_eq!(table.fixed_class_name(slot), *name);
+                            } else {
+                                assert!(name.starts_with('['), "{name}");
+                            }
+                        }
+                    }
+                    (Check::RefUse { .. } | Check::FixedType { .. }, route) => {
+                        panic!("{step:?} left unresolved as {route:?}")
+                    }
+                    (_, route) => assert_eq!(route, Route::Spec),
+                }
+            }
+        }
+        // Each class name is looked up through one shared slot.
+        let mut names: Vec<&str> = (0..table.fixed_class_count())
+            .map(|slot| table.fixed_class_name(slot as u16))
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), table.fixed_class_count());
+        assert!(names.contains(&"java/lang/String"));
     }
 
     #[test]

@@ -309,8 +309,7 @@ impl<'s> JniEnv<'s> {
         }
         // Call:C→Java hooks. The stack is passed as a borrow (outermost
         // frame first); checkers reverse it only when building a report.
-        let mut pre_reports = Vec::new();
-        {
+        let pre_reports = {
             let cx = CallCx {
                 func,
                 thread: self.thread,
@@ -319,19 +318,17 @@ impl<'s> JniEnv<'s> {
                 stack: self.vm.stack(self.thread),
             };
             let jvm = &self.vm.jvm;
-            for checker in self.interposers.iter_mut() {
-                pre_reports.extend(guard_hook(checker.as_mut(), "pre_jni", |c| {
-                    c.pre_jni(jvm, &cx)
-                }));
-            }
-        }
+            run_hooks(self.interposers, "pre_jni", |c| c.pre_jni(jvm, &cx))
+        };
         // A throwing checker prevents the wrapped function from running
         // (Figure 4: "return jinn_throw_JNIException(...)").
-        if let Err(e) = self.handle_reports(pre_reports) {
-            if let JniError::Death(d) = &e {
-                self.vm.dead.get_or_insert_with(|| d.clone());
+        if !pre_reports.is_empty() {
+            if let Err(e) = self.handle_reports(pre_reports) {
+                if let JniError::Death(d) = &e {
+                    self.vm.dead.get_or_insert_with(|| d.clone());
+                }
+                return Err(e);
             }
-            return Err(e);
         }
 
         // Raw semantics, with vendor-modelled UB.
@@ -342,8 +339,7 @@ impl<'s> JniEnv<'s> {
         };
 
         // Return:Java→C hooks.
-        let mut post_reports = Vec::new();
-        {
+        let post_reports = {
             let cx = CallCx {
                 func,
                 thread: self.thread,
@@ -353,15 +349,15 @@ impl<'s> JniEnv<'s> {
             };
             let ret = result.as_ref().ok();
             let jvm = &self.vm.jvm;
-            for checker in self.interposers.iter_mut() {
-                post_reports.extend(guard_hook(checker.as_mut(), "post_jni", |c| {
-                    c.post_jni(jvm, &cx, ret)
-                }));
+            run_hooks(self.interposers, "post_jni", |c| c.post_jni(jvm, &cx, ret))
+        };
+        let result = if post_reports.is_empty() {
+            result
+        } else {
+            match self.handle_reports(post_reports) {
+                Ok(()) => result,
+                Err(e) => Err(e),
             }
-        }
-        let result = match self.handle_reports(post_reports) {
-            Ok(()) => result,
-            Err(e) => Err(e),
         };
         if let Err(JniError::Death(d)) = &result {
             self.vm.dead.get_or_insert_with(|| d.clone());
@@ -419,6 +415,8 @@ impl<'s> JniEnv<'s> {
             .recorder
             .native_exit_id(thread, label, nanos, failed);
         self.vm.recorder.count_id(self.vm.native_calls_label, 1);
+        // Counters the VM batches become exact at native-method returns.
+        self.vm.jvm.publish_counts();
         if let Err(JniError::Death(d)) = &result {
             self.vm.dead.get_or_insert_with(|| d.clone());
         }
@@ -480,16 +478,13 @@ impl<'s> JniEnv<'s> {
 
         // Call:Java→C hooks (Acquire transitions for the argument refs).
         // The stack is the same outermost-first borrow `CallCx` carries.
-        let mut reports = Vec::new();
-        {
+        let reports = {
             let (jvm, thread) = (&self.vm.jvm, self.thread);
             let stack = self.vm.stack(thread);
-            for checker in self.interposers.iter_mut() {
-                reports.extend(guard_hook(checker.as_mut(), "native_enter", |c| {
-                    c.native_enter(jvm, thread, method, &arg_refs, stack)
-                }));
-            }
-        }
+            run_hooks(self.interposers, "native_enter", |c| {
+                c.native_enter(jvm, thread, method, &arg_refs, stack)
+            })
+        };
         if let Err(e) = self.handle_reports(reports) {
             self.pop_stack();
             let _ = self.vm.jvm.thread_mut(self.thread).pop_frame();
@@ -517,16 +512,13 @@ impl<'s> JniEnv<'s> {
             Ok(JValue::Ref(r)) if !r.is_null() => Some(*r),
             _ => None,
         };
-        let mut reports = Vec::new();
-        {
+        let reports = {
             let (jvm, thread) = (&self.vm.jvm, self.thread);
             let stack = self.vm.stack(thread);
-            for checker in self.interposers.iter_mut() {
-                reports.extend(guard_hook(checker.as_mut(), "native_exit", |c| {
-                    c.native_exit(jvm, thread, method, returned_ref, stack)
-                }));
-            }
-        }
+            run_hooks(self.interposers, "native_exit", |c| {
+                c.native_exit(jvm, thread, method, returned_ref, stack)
+            })
+        };
         let hook_result = self.handle_reports(reports);
 
         // Translate the returned reference out of the dying frame. The
@@ -853,6 +845,26 @@ pub(crate) fn guard_hook(
             action: ReportAction::AbortVm,
         }],
     }
+}
+
+/// Runs one hook on every interposer in attach order and gathers their
+/// reports. The first non-empty report vector is moved, not copied, so
+/// the usual single-checker stack hands its reports straight through.
+fn run_hooks(
+    interposers: &mut [Box<dyn Interpose>],
+    site: &'static str,
+    mut hook: impl FnMut(&mut dyn Interpose) -> Vec<Report>,
+) -> Vec<Report> {
+    let mut reports = Vec::new();
+    for checker in interposers.iter_mut() {
+        let more = guard_hook(checker.as_mut(), site, &mut hook);
+        if reports.is_empty() {
+            reports = more;
+        } else {
+            reports.extend(more);
+        }
+    }
+    reports
 }
 
 /// The default ("garbage") return value when the raw JVM skips an

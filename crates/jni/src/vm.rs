@@ -467,7 +467,8 @@ impl Session {
 
     /// Terminates the program: fires every checker's `vm_death` sweep
     /// (leak reports) and returns all reports. `Warn` reports are also
-    /// appended to the log.
+    /// appended to the log. Batched counters (checks executed,
+    /// safepoints) are published here too.
     pub fn shutdown(&mut self) -> Vec<Report> {
         let mut all = Vec::new();
         for checker in &mut self.interposers {
@@ -481,6 +482,7 @@ impl Session {
             }
             all.extend(reports);
         }
+        self.vm.jvm.publish_counts();
         all
     }
 }

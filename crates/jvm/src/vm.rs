@@ -68,6 +68,9 @@ pub struct Jvm {
     /// Run a GC automatically every N safepoints (None = only explicit).
     auto_gc_period: Option<u64>,
     safepoints: u64,
+    /// The part of `safepoints` already added to the recorder's
+    /// `gc.safepoints` counter (see [`Jvm::publish_counts`]).
+    published_safepoints: u64,
     deferred_gcs: u64,
     recorder: Recorder,
     safepoints_label: LabelId,
@@ -91,6 +94,7 @@ impl Jvm {
             next_env: 0xE0,
             auto_gc_period: None,
             safepoints: 0,
+            published_safepoints: 0,
             deferred_gcs: 0,
             recorder: Recorder::disabled(),
             safepoints_label: LabelId(0),
@@ -139,6 +143,7 @@ impl Jvm {
     /// Attaches an observability recorder. GC activity and pin traffic
     /// are recorded from then on.
     pub fn set_recorder(&mut self, recorder: Recorder) {
+        self.publish_counts();
         self.pins.set_recorder(recorder.clone());
         self.safepoints_label = recorder.intern("gc.safepoints");
         self.deferred_label = recorder.intern("gc.deferred");
@@ -149,6 +154,25 @@ impl Jvm {
     /// The attached recorder (disabled by default).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
+    }
+
+    /// Safepoints passed so far (one per language transition the JNI
+    /// layer drives).
+    pub fn safepoints(&self) -> u64 {
+        self.safepoints
+    }
+
+    /// Adds the safepoints passed since the last call to the recorder's
+    /// `gc.safepoints` counter. The JNI layer calls this at every
+    /// native-method return and at shutdown, so the counter is exact as
+    /// of those points and costs one recorder push per native method
+    /// rather than one per safepoint.
+    pub fn publish_counts(&mut self) {
+        let delta = self.safepoints - self.published_safepoints;
+        if delta > 0 {
+            self.published_safepoints = self.safepoints;
+            self.recorder.count_id(self.safepoints_label, delta);
+        }
     }
 
     /// Number of GCs that were due at a safepoint but deferred because a
@@ -563,7 +587,6 @@ impl Jvm {
     /// at every language transition.
     pub fn safepoint(&mut self) -> Option<GcStats> {
         self.safepoints += 1;
-        self.recorder.count_id(self.safepoints_label, 1);
         let period = self.auto_gc_period?;
         if !self.safepoints.is_multiple_of(period) {
             return None;
@@ -617,6 +640,12 @@ impl Jvm {
 impl Default for Jvm {
     fn default() -> Self {
         Jvm::new()
+    }
+}
+
+impl Drop for Jvm {
+    fn drop(&mut self) {
+        self.publish_counts();
     }
 }
 

@@ -113,11 +113,19 @@ fn intern_locked(st: &mut InternState, table: &PolicyTable, label: &str) -> u32 
 }
 
 /// Thread-local, id-keyed metric batches (and their shared aggregate).
+///
+/// A thread's batch also lists the ids it touched since its last drain,
+/// so a drain walks only those: the slot vectors run up to the highest
+/// label id ever recorded, and a JNI slot carries a whole latency
+/// histogram.
 #[derive(Debug, Default)]
 struct IdMetrics {
     jni: Vec<FuncMetrics>,
     machines: Vec<MachineMetrics>,
     counters: Vec<u64>,
+    dirty_jni: Vec<u32>,
+    dirty_machines: Vec<u32>,
+    dirty_counters: Vec<u32>,
 }
 
 fn at<T: Default + Clone>(v: &mut Vec<T>, id: u32) -> &mut T {
@@ -129,23 +137,54 @@ fn at<T: Default + Clone>(v: &mut Vec<T>, id: u32) -> &mut T {
 }
 
 impl IdMetrics {
+    /// A JNI function's batch slot; the caller always records a call.
+    fn jni(&mut self, id: u32) -> &mut FuncMetrics {
+        let m = at(&mut self.jni, id);
+        if m.calls == 0 {
+            self.dirty_jni.push(id);
+        }
+        m
+    }
+
+    /// A machine's batch slot; the caller always records an outcome.
+    fn machine(&mut self, id: u32) -> &mut MachineMetrics {
+        let m = at(&mut self.machines, id);
+        if m.total() == 0 {
+            self.dirty_machines.push(id);
+        }
+        m
+    }
+
+    /// A counter's batch slot. A zero delta leaves it at zero, so its id
+    /// may be listed twice; the drain skips the second visit.
+    fn counter(&mut self, id: u32) -> &mut u64 {
+        let c = at(&mut self.counters, id);
+        if *c == 0 {
+            self.dirty_counters.push(id);
+        }
+        c
+    }
+
     /// Folds this batch into `global` and resets it (capacity kept).
     fn drain_into(&mut self, global: &mut IdMetrics) {
-        for (id, m) in self.jni.iter_mut().enumerate() {
+        for id in self.dirty_jni.drain(..) {
+            let m = &mut self.jni[id as usize];
             if m.calls > 0 {
-                at(&mut global.jni, id as u32).merge(m);
+                at(&mut global.jni, id).merge(m);
                 *m = FuncMetrics::default();
             }
         }
-        for (id, m) in self.machines.iter_mut().enumerate() {
+        for id in self.dirty_machines.drain(..) {
+            let m = &mut self.machines[id as usize];
             if m.total() > 0 {
-                at(&mut global.machines, id as u32).merge(m);
+                at(&mut global.machines, id).merge(m);
                 *m = MachineMetrics::default();
             }
         }
-        for (id, c) in self.counters.iter_mut().enumerate() {
+        for id in self.dirty_counters.drain(..) {
+            let c = &mut self.counters[id as usize];
             if *c > 0 {
-                *at(&mut global.counters, id as u32) += *c;
+                *at(&mut global.counters, id) += *c;
                 *c = 0;
             }
         }
@@ -609,7 +648,7 @@ impl Recorder {
     pub fn jni_exit_id(&self, thread: u16, func: LabelId, nanos: Option<u64>, failed: bool) {
         if let Some(inner) = &self.inner {
             Self::with_producer(inner, |p, inner| {
-                let m = at(&mut p.local.jni, func.0);
+                let m = p.local.jni(func.0);
                 m.calls += 1;
                 if failed {
                     m.failures += 1;
@@ -674,7 +713,7 @@ impl Recorder {
     ) {
         if let Some(inner) = &self.inner {
             Self::with_producer(inner, |p, inner| {
-                let m = at(&mut p.local.machines, machine.0);
+                let m = p.local.machine(machine.0);
                 let flags = match outcome {
                     FsmOutcome::Moved => {
                         m.applied += 1;
@@ -722,7 +761,7 @@ impl Recorder {
     ) {
         if let Some(inner) = &self.inner {
             Self::with_producer(inner, |p, inner| {
-                let m = at(&mut p.local.machines, machine.0);
+                let m = p.local.machine(machine.0);
                 let flags = match outcome {
                     FsmOutcome::Moved => {
                         m.applied += 1;
@@ -786,7 +825,7 @@ impl Recorder {
     pub fn count_id(&self, counter: LabelId, delta: u64) {
         if let Some(inner) = &self.inner {
             Self::with_producer(inner, |p, inner| {
-                *at(&mut p.local.counters, counter.0) += delta;
+                *p.local.counter(counter.0) += delta;
                 p.tick(inner);
             });
         }
@@ -895,7 +934,7 @@ impl Recorder {
             let id = self.intern(func);
             let Some(inner) = &self.inner else { return };
             Self::with_producer(inner, |p, inner| {
-                let m = at(&mut p.local.jni, id.0);
+                let m = p.local.jni(id.0);
                 m.calls += 1;
                 if failed {
                     m.failures += 1;
@@ -913,7 +952,7 @@ impl Recorder {
             let id = self.intern(machine);
             let Some(inner) = &self.inner else { return };
             Self::with_producer(inner, |p, inner| {
-                let m = at(&mut p.local.machines, id.0);
+                let m = p.local.machine(id.0);
                 match outcome {
                     FsmOutcome::Moved => m.applied += 1,
                     FsmOutcome::Error => m.errors += 1,
@@ -1097,6 +1136,38 @@ mod tests {
 
     fn safepoint(r: &Recorder, thread: u16) {
         r.event(thread, EventKind::GcSafepoint { collected: false });
+    }
+
+    #[test]
+    fn drains_walk_only_the_slots_touched_since_the_last_drain() {
+        let (mut local, mut global) = (IdMetrics::default(), IdMetrics::default());
+        *local.counter(200) += 3;
+        *local.counter(200) += 4;
+        // A zero delta leaves the slot at zero, so it is listed again.
+        *local.counter(7) += 0;
+        *local.counter(7) += 0;
+        local.machine(5).applied += 1;
+        local.jni(165).calls += 1;
+        assert_eq!(local.dirty_counters, [200, 7, 7]);
+        assert_eq!(local.dirty_machines, [5]);
+        assert_eq!(local.dirty_jni, [165]);
+
+        local.drain_into(&mut global);
+        assert!(local.dirty_counters.is_empty());
+        assert!(local.dirty_machines.is_empty());
+        assert!(local.dirty_jni.is_empty());
+        assert_eq!((local.counters[200], local.jni[165].calls), (0, 0));
+        assert_eq!(global.counters[200], 7);
+        assert_eq!(global.counters[7], 0);
+        assert_eq!(global.machines[5].applied, 1);
+        assert_eq!(global.jni[165].calls, 1);
+
+        // The next batch reuses the slots and adds up.
+        *local.counter(200) += 1;
+        local.jni(165).calls += 2;
+        local.drain_into(&mut global);
+        assert_eq!(global.counters[200], 8);
+        assert_eq!(global.jni[165].calls, 3);
     }
 
     #[test]

@@ -196,7 +196,7 @@ impl TraceBuilder {
 /// session; `replay stats --json` prints it per file.
 pub fn trace_discharge(trace: &Trace) -> jinn_core::DischargeReport {
     let manifest = jinn_core::WorkloadManifest::new(trace.program(), trace.called_functions());
-    jinn_core::discharge(&jinn_spec::machines(), &manifest)
+    jinn_core::discharge(jinn_spec::shared_machines(), &manifest)
 }
 
 /// Asserts that the reader and a trace agree on the format version —

@@ -99,7 +99,7 @@ fn transition_aliases(name: &str) -> &'static [&'static str] {
 /// it incrementally during ingest) never walk the events again at seal.
 pub(crate) fn discharge_stats(program: &str, called: &BTreeSet<String>) -> DischargeStats {
     let manifest = jinn_core::WorkloadManifest::new(program, called.iter().map(String::as_str));
-    let report = jinn_core::discharge(&jinn_spec::machines(), &manifest);
+    let report = jinn_core::discharge(jinn_spec::shared_machines(), &manifest);
     DischargeStats {
         called_functions: report.manifest_functions as u64,
         total_transitions: report.total_transitions() as u64,

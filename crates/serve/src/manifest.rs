@@ -145,8 +145,7 @@ impl ManifestRegistry {
     /// the discharge report for the declared function set.
     pub(crate) fn declare(&self, tenant: &str, functions: &[String]) -> ManifestSummary {
         let manifest = WorkloadManifest::new(tenant, functions.iter().map(String::as_str));
-        let machines = jinn_spec::machines();
-        let report = discharge(&machines, &manifest);
+        let report = discharge(jinn_spec::shared_machines(), &manifest);
         let inactive_machines: Vec<String> = report
             .inactive_machines()
             .iter()
@@ -159,7 +158,7 @@ impl ManifestRegistry {
             unknown_functions: manifest.unknown_functions().to_vec(),
             total_transitions: report.total_transitions() as u64,
             discharged: report.total_discharged() as u64,
-            active_machines: (machines.len() - inactive_machines.len()) as u64,
+            active_machines: (report.machines.len() - inactive_machines.len()) as u64,
             inactive_machines,
             replaced: false,
         };

@@ -37,8 +37,8 @@ pub use instrument::{
 };
 pub use machines::{
     access_control, critical_section, entity_typing, exception_state, fixed_typing, global_ref,
-    jnienv_state, local_ref, machines, monitor, nullness, pinned_buffer, PIN_ACQUIRE_FUNCS,
-    PIN_RELEASE_FUNCS,
+    jnienv_state, local_ref, machines, monitor, nullness, pinned_buffer, shared_machines,
+    PIN_ACQUIRE_FUNCS, PIN_RELEASE_FUNCS,
 };
 
 /// Non-comment source lines of this crate — the paper compares its ~1,400

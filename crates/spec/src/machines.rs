@@ -7,6 +7,8 @@
 //! the `languageTransitionsFor` mapping; the machine-readable resolution
 //! against the registry lives in [`crate::instrument`].
 
+use std::sync::OnceLock;
+
 use jinn_fsm::{ConstraintClass, Direction, EntityKind, MachineSpec};
 
 /// Every JNI function whose successful return pins a string or array
@@ -489,6 +491,14 @@ pub fn machines() -> Vec<MachineSpec> {
         global_ref(),
         local_ref(),
     ]
+}
+
+/// The eleven machines, built once per process. Callers that only read
+/// the specifications (discharge audits, synthesis statistics) borrow
+/// these instead of rebuilding every machine per call.
+pub fn shared_machines() -> &'static [MachineSpec] {
+    static MACHINES: OnceLock<Vec<MachineSpec>> = OnceLock::new();
+    MACHINES.get_or_init(machines)
 }
 
 #[cfg(test)]
